@@ -40,7 +40,6 @@ from .graphs import (
     enumerate_compositions,
     enumerate_matchings,
     graph_from_json,
-    graph_multiply,
     graph_to_dot,
     graph_to_json,
     make_vertex,
@@ -57,15 +56,12 @@ from .ladder import (
     NormalMonomial,
     NormalPolynomial,
     Word,
-    add,
     commutator_powers,
-    multiply,
     multiply_monomials,
     normal_order_fold,
     normal_order_rewrite,
     normal_order_word,
     power_word,
-    scale,
     word_from_str,
 )
 from .oracles import OracleReport, random_graph, random_word, run_oracle_checks
@@ -95,7 +91,6 @@ __all__ = [
     "SumExpr",
     "Vertex",
     "Word",
-    "add",
     "build_iteratively",
     "canonical_decode",
     "canonical_encode",
@@ -107,11 +102,9 @@ __all__ = [
     "evaluate",
     "format_polynomial",
     "graph_from_json",
-    "graph_multiply",
     "graph_to_dot",
     "graph_to_json",
     "make_vertex",
-    "multiply",
     "multiply_monomials",
     "normal_order_fold",
     "normal_order_rewrite",
@@ -124,7 +117,6 @@ __all__ = [
     "random_graph",
     "random_word",
     "run_oracle_checks",
-    "scale",
     "void_graph",
     "word_from_str",
 ]

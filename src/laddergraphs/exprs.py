@@ -27,15 +27,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import mul
 
-from .ladder import (
-    LOWER,
-    RAISE,
-    Letter,
-    NormalMonomial,
-    NormalPolynomial,
-    multiply,
-)
+from .ladder import Letter, NormalMonomial, NormalPolynomial
 from .scalars import GaussianRational
 
 
@@ -331,34 +326,18 @@ def parse(text: str) -> ExprNode:
 # Evaluation
 # ---------------------------------------------------------------------------
 
-_LETTER_VALUE = {
-    Letter.ANNIHILATOR: NormalPolynomial.monomial(LOWER),
-    Letter.CREATOR: NormalPolynomial.monomial(RAISE),
-}
-
-
 def evaluate(node: ExprNode) -> NormalPolynomial:
     """Map an AST to its unique normally ordered polynomial."""
     if isinstance(node, IdentityExpr):
         return NormalPolynomial.one()
     if isinstance(node, LetterExpr):
-        return _LETTER_VALUE[node.letter]
+        return NormalPolynomial.monomial(node.letter.monomial)
     if isinstance(node, PowerExpr):
-        result = NormalPolynomial.one()
-        base = evaluate(node.base)
-        for _ in range(node.exponent):
-            result = multiply(result, base)
-        return result
+        return evaluate(node.base) ** node.exponent
     if isinstance(node, ProductExpr):
-        result = NormalPolynomial.one()
-        for factor in node.factors:
-            result = multiply(result, evaluate(factor))
-        return result
+        return reduce(mul, map(evaluate, node.factors), NormalPolynomial.one())
     if isinstance(node, SumExpr):
-        result = NormalPolynomial.zero()
-        for term in node.terms:
-            result = result + evaluate(term)
-        return result
+        return sum(map(evaluate, node.terms), NormalPolynomial.zero())
     if isinstance(node, ScaledExpr):
         return evaluate(node.body).scale(node.coeff)
     raise TypeError(f"not an expression node: {node!r}")

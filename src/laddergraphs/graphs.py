@@ -17,7 +17,9 @@ acyclicity is preserved by construction.  The number of compositions is
 and projecting each composition down to its dangling-line counts reproduces
 the closed-form product of :mod:`laddergraphs.ladder` term by term.  That
 projection (:func:`project_sum`) is an algebra homomorphism and the bridge
-between the two representations.
+between the two representations.  Formal sums of graphs (:class:`GraphSum`)
+and the polynomials they project onto share one sparse linear-combination
+core, :class:`~laddergraphs.scalars.LinearCombination`.
 
 Port labels are assigned at vertex creation and never collide: the right
 operand of a composition is embedded by shifting its labels up by the left
@@ -32,10 +34,11 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations, islice, permutations
 from math import comb, factorial
-from typing import Iterable, Iterator, Mapping
+from operator import mul
+from typing import Iterable, Iterator
 
-from .ladder import Letter, NormalMonomial, NormalPolynomial, Word
-from .scalars import GaussianRational, ScalarLike
+from .ladder import NormalMonomial, NormalPolynomial, Word
+from .scalars import ONE, GaussianRational, LinearCombination, ScalarLike, accumulate
 
 Matching = tuple[tuple[int, int], ...]  # (gray in-port of g1, white out-port of g2) pairs
 
@@ -102,7 +105,7 @@ class DiagGraph:
             raise ValueError("dangling_in must list exactly the unmatched in-ports")
         if sorted(self.dangling_out) != sorted(set(out_owner) - used_out):
             raise ValueError("dangling_out must list exactly the unmatched out-ports")
-        if __debug__ and self.has_cycle():
+        if self.has_cycle():
             raise ValueError("graph contains a closed path")
 
     def has_cycle(self) -> bool:
@@ -269,76 +272,28 @@ def build_iteratively(steps: Iterable[tuple[int, int, int]]) -> DiagGraph:
 # Formal sums of graphs
 # ---------------------------------------------------------------------------
 
-class GraphSum:
-    """Finitely supported sum of labeled graphs with exact coefficients."""
+class GraphSum(LinearCombination):
+    """Finitely supported sum of labeled graphs with exact coefficients.
 
-    __slots__ = ("_terms",)
+    The sum structure is the shared
+    :class:`~laddergraphs.scalars.LinearCombination` core; this class adds the
+    graph basis, ordered by canonical encoding, and composition as product.
+    Unhashable.
+    """
 
-    def __init__(self, terms: Mapping[DiagGraph, ScalarLike] | Iterable[tuple[DiagGraph, ScalarLike]] = ()):
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        acc: dict[DiagGraph, GaussianRational] = {}
-        for graph, coeff in items:
-            c = acc.get(graph, GaussianRational.zero()) + GaussianRational.coerce(coeff)
-            if c.is_zero():
-                acc.pop(graph, None)
-            else:
-                acc[graph] = c
-        self._terms = acc
+    __slots__ = ()
 
-    @classmethod
-    def zero(cls) -> "GraphSum":
-        return cls()
+    @staticmethod
+    def _sort_key(graph: DiagGraph) -> bytes:
+        return canonical_encode(graph)
 
     @classmethod
     def one(cls) -> "GraphSum":
         return cls.basis(void_graph())
 
     @classmethod
-    def basis(cls, graph: DiagGraph, coeff: ScalarLike = 1) -> "GraphSum":
+    def basis(cls, graph: DiagGraph, coeff: ScalarLike = ONE) -> "GraphSum":
         return cls([(graph, coeff)])
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def __len__(self) -> int:
-        return len(self._terms)
-
-    def coefficient(self, graph: DiagGraph) -> GaussianRational:
-        return self._terms.get(graph, GaussianRational.zero())
-
-    def terms(self) -> Iterator[tuple[DiagGraph, GaussianRational]]:
-        """Iterate terms deterministically, ordered by canonical encoding."""
-        for graph in sorted(self._terms, key=canonical_encode):
-            yield graph, self._terms[graph]
-
-    def __add__(self, other: "GraphSum") -> "GraphSum":
-        if not isinstance(other, GraphSum):
-            return NotImplemented
-        acc = dict(self._terms)
-        for graph, coeff in other._terms.items():
-            c = acc.get(graph, GaussianRational.zero()) + coeff
-            if c.is_zero():
-                acc.pop(graph, None)
-            else:
-                acc[graph] = c
-        return GraphSum(acc)
-
-    def __neg__(self) -> "GraphSum":
-        return GraphSum({g: -c for g, c in self._terms.items()})
-
-    def __sub__(self, other: "GraphSum") -> "GraphSum":
-        if not isinstance(other, GraphSum):
-            return NotImplemented
-        return self + (-other)
-
-    def scale(self, c: ScalarLike) -> "GraphSum":
-        c = GaussianRational.coerce(c)
-        if c.is_zero():
-            return GraphSum.zero()
-        return GraphSum({g: coeff * c for g, coeff in self._terms.items()})
 
     def __mul__(self, other: "GraphSum") -> "GraphSum":
         """Bilinear extension of composition enumeration; unit is the void graph."""
@@ -349,27 +304,14 @@ class GraphSum:
             for g2, c2 in other._terms.items():
                 c12 = c1 * c2
                 for composed in enumerate_compositions(g1, g2):
-                    c = acc.get(composed, GaussianRational.zero()) + c12
-                    if c.is_zero():
-                        acc.pop(composed, None)
-                    else:
-                        acc[composed] = c
-        return GraphSum(acc)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, GraphSum):
-            return NotImplemented
-        return self._terms == other._terms
+                    accumulate(acc, composed, c12)
+        return GraphSum._raw(acc)
 
     def __repr__(self) -> str:
         if not self._terms:
             return "GraphSum(0)"
         parts = ", ".join(f"{g}: {c}" for g, c in self.terms())
         return f"GraphSum({parts})"
-
-
-def graph_multiply(x: GraphSum, y: GraphSum) -> GraphSum:
-    return x * y
 
 
 # ---------------------------------------------------------------------------
@@ -386,20 +328,10 @@ def project_sum(x: GraphSum) -> NormalPolynomial:
     return NormalPolynomial((project(g), c) for g, c in x._terms.items())
 
 
-_LETTER_VERTEX = {
-    Letter.ANNIHILATOR: (0, 1),
-    Letter.CREATOR: (1, 0),
-}
-
-
 def normal_order_via_graphs(word: Word) -> NormalPolynomial:
     """Third normal-ordering route: compose one-vertex graphs, then project."""
-    product = reduce(
-        graph_multiply,
-        (GraphSum.basis(make_vertex(*_LETTER_VERTEX[letter])) for letter in word),
-        GraphSum.one(),
-    )
-    return project_sum(product)
+    vertices = (make_vertex(letter.monomial.r, letter.monomial.s) for letter in word)
+    return project_sum(reduce(mul, map(GraphSum.basis, vertices), GraphSum.one()))
 
 
 # ---------------------------------------------------------------------------
@@ -462,15 +394,19 @@ def graph_to_json(g: DiagGraph) -> dict:
 
 
 def graph_from_json(obj: dict) -> DiagGraph:
-    return DiagGraph(
-        vertices=tuple(
-            Vertex(in_ports=tuple(v["in"]), out_ports=tuple(v["out"]))
-            for v in obj["vertices"]
-        ),
-        edges=tuple((e[0], e[1]) for e in obj["edges"]),
-        dangling_in=tuple(obj["dangling_in"]),
-        dangling_out=tuple(obj["dangling_out"]),
-    )
+    """Inverse of :func:`graph_to_json`; raises only ``ValueError`` on bad input."""
+    try:
+        return DiagGraph(
+            vertices=tuple(
+                Vertex(in_ports=tuple(v["in"]), out_ports=tuple(v["out"]))
+                for v in obj["vertices"]
+            ),
+            edges=tuple((e[0], e[1]) for e in obj["edges"]),
+            dangling_in=tuple(obj["dangling_in"]),
+            dangling_out=tuple(obj["dangling_out"]),
+        )
+    except (KeyError, IndexError, TypeError) as exc:
+        raise ValueError(f"malformed graph record: {exc}") from exc
 
 
 def graph_to_dot(g: DiagGraph, name: str = "composition") -> str:

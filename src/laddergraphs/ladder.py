@@ -10,8 +10,9 @@ elements expands as a finite sum with positive integer coefficients:
 
 which is the closed form of repeatedly commuting a lowering operator past a
 raising one with commutator equal to the identity.  Polynomials are finitely
-supported sums of basis elements with :class:`GaussianRational` coefficients;
-all arithmetic is exact.
+supported sums of basis elements with :class:`GaussianRational` coefficients,
+built on the sparse linear-combination core of :mod:`laddergraphs.scalars`
+(:class:`LinearCombination` and :func:`accumulate`); all arithmetic is exact.
 
 Free (unordered) words in the two generators are normalized by two
 independent strategies, a rewrite engine and a fold over basis products,
@@ -24,9 +25,9 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cache, reduce
 from math import comb, factorial
-from typing import Iterable, Iterator, Mapping
+from operator import mul
 
-from .scalars import GaussianRational, ScalarLike
+from .scalars import ONE, GaussianRational, LinearCombination, ScalarLike, accumulate
 
 MonomialLike = "NormalMonomial | tuple[int, int]"
 
@@ -68,94 +69,36 @@ def _term_sort_key(m: NormalMonomial) -> tuple[int, int]:
     return (-m.degree, -m.r)
 
 
-class NormalPolynomial:
+class NormalPolynomial(LinearCombination):
     """Finitely supported sum of :class:`NormalMonomial` with exact coefficients.
 
-    Immutable.  Zero coefficients are pruned on construction, so two equal
-    polynomials always have identical term maps.
+    Immutable and hashable.  Pruning, ``+``, ``-``, :meth:`scale` and ``==``
+    come from the shared :class:`~laddergraphs.scalars.LinearCombination`
+    core; this class adds the monomial basis, its graded order and the
+    closed-form product.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ()
 
-    def __init__(self, terms: Mapping[MonomialLike, ScalarLike] | Iterable[tuple[MonomialLike, ScalarLike]] = ()):
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        acc: dict[NormalMonomial, GaussianRational] = {}
-        for mono, coeff in items:
-            mono = _as_monomial(mono)
-            c = acc.get(mono, GaussianRational.zero()) + GaussianRational.coerce(coeff)
-            if c.is_zero():
-                acc.pop(mono, None)
-            else:
-                acc[mono] = c
-        self._terms = acc
+    _key = staticmethod(_as_monomial)
+    _sort_key = staticmethod(_term_sort_key)
 
     # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zero(cls) -> "NormalPolynomial":
-        return cls()
 
     @classmethod
     def one(cls) -> "NormalPolynomial":
         return cls.monomial(IDENTITY)
 
     @classmethod
-    def monomial(cls, m: MonomialLike, coeff: ScalarLike = 1) -> "NormalPolynomial":
+    def monomial(cls, m: MonomialLike, coeff: ScalarLike = ONE) -> "NormalPolynomial":
         return cls([(m, coeff)])
 
     # -- inspection ---------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def __len__(self) -> int:
-        return len(self._terms)
-
-    def coefficient(self, m: MonomialLike) -> GaussianRational:
-        return self._terms.get(_as_monomial(m), GaussianRational.zero())
-
-    def terms(self) -> Iterator[tuple[NormalMonomial, GaussianRational]]:
-        """Iterate terms in canonical order: descending degree, then descending r."""
-        for mono in sorted(self._terms, key=_term_sort_key):
-            yield mono, self._terms[mono]
-
     def monomials(self) -> list[NormalMonomial]:
         return [m for m, _ in self.terms()]
 
-    # -- vector-space and algebra operations --------------------------------
-
-    def __add__(self, other: "NormalPolynomial") -> "NormalPolynomial":
-        if not isinstance(other, NormalPolynomial):
-            return NotImplemented
-        if not other._terms:
-            return self
-        if not self._terms:
-            return other
-        acc = dict(self._terms)
-        for mono, coeff in other._terms.items():
-            c = acc.get(mono, GaussianRational.zero()) + coeff
-            if c.is_zero():
-                acc.pop(mono, None)
-            else:
-                acc[mono] = c
-        return _raw(acc)
-
-    def __neg__(self) -> "NormalPolynomial":
-        return _raw({m: -c for m, c in self._terms.items()})
-
-    def __sub__(self, other: "NormalPolynomial") -> "NormalPolynomial":
-        if not isinstance(other, NormalPolynomial):
-            return NotImplemented
-        return self + (-other)
-
-    def scale(self, c: ScalarLike) -> "NormalPolynomial":
-        c = GaussianRational.coerce(c)
-        if c.is_zero():
-            return NormalPolynomial.zero()
-        return _raw({m: coeff * c for m, coeff in self._terms.items()})
+    # -- algebra operations ---------------------------------------------------
 
     def __mul__(self, other: "NormalPolynomial") -> "NormalPolynomial":
         """Bilinear extension of the basis product; noncommutative."""
@@ -166,12 +109,8 @@ class NormalPolynomial:
             for m2, c2 in other._terms.items():
                 c12 = c1 * c2
                 for mono, weight in _basis_product(m1.r, m1.s, m2.r, m2.s):
-                    c = acc.get(mono, GaussianRational.zero()) + c12 * weight
-                    if c.is_zero():
-                        acc.pop(mono, None)
-                    else:
-                        acc[mono] = c
-        return _raw(acc)
+                    accumulate(acc, mono, c12 * weight)
+        return NormalPolynomial._raw(acc)
 
     def __pow__(self, n: int) -> "NormalPolynomial":
         if not isinstance(n, int) or n < 0:
@@ -181,12 +120,7 @@ class NormalPolynomial:
             result = result * self
         return result
 
-    # -- equality and display ------------------------------------------------
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, NormalPolynomial):
-            return NotImplemented
-        return self._terms == other._terms
+    # -- hashing and display ---------------------------------------------------
 
     def __hash__(self) -> int:
         return hash(frozenset(self._terms.items()))
@@ -208,17 +142,14 @@ class NormalPolynomial:
 
     @classmethod
     def from_json(cls, obj: list[dict]) -> "NormalPolynomial":
-        return cls(
-            [(NormalMonomial(int(t["r"]), int(t["s"])), GaussianRational.from_json(t["coeff"]))
-             for t in obj]
-        )
-
-
-def _raw(terms: dict[NormalMonomial, GaussianRational]) -> NormalPolynomial:
-    """Wrap an already-pruned term dict without re-normalizing."""
-    p = NormalPolynomial.__new__(NormalPolynomial)
-    p._terms = terms
-    return p
+        """Inverse of :meth:`to_json`; raises only ``ValueError`` on bad input."""
+        try:
+            return cls(
+                [(NormalMonomial(int(t["r"]), int(t["s"])), GaussianRational.from_json(t["coeff"]))
+                 for t in obj]
+            )
+        except (KeyError, TypeError, OverflowError) as exc:
+            raise ValueError(f"malformed polynomial record: {exc}") from exc
 
 
 @cache
@@ -227,18 +158,6 @@ def _basis_product(r: int, s: int, k: int, l: int) -> tuple[tuple[NormalMonomial
         (NormalMonomial(r + k - i, s + l - i), factorial(i) * comb(s, i) * comb(k, i))
         for i in range(min(k, s) + 1)
     )
-
-
-def add(p: NormalPolynomial, q: NormalPolynomial) -> NormalPolynomial:
-    return p + q
-
-
-def scale(c: ScalarLike, p: NormalPolynomial) -> NormalPolynomial:
-    return p.scale(c)
-
-
-def multiply(p: NormalPolynomial, q: NormalPolynomial) -> NormalPolynomial:
-    return p * q
 
 
 def multiply_monomials(m1: MonomialLike, m2: MonomialLike) -> NormalPolynomial:
@@ -284,13 +203,13 @@ class Letter(Enum):
             return cls.CREATOR
         raise ValueError(f"unknown letter token {token!r}")
 
+    @property
+    def monomial(self) -> NormalMonomial:
+        """The basis element this letter stands for: ``(0, 1)`` or ``(1, 0)``."""
+        return RAISE if self is Letter.CREATOR else LOWER
+
 
 Word = tuple[Letter, ...]
-
-_LETTER_POLY = {
-    Letter.ANNIHILATOR: NormalPolynomial.monomial(LOWER),
-    Letter.CREATOR: NormalPolynomial.monomial(RAISE),
-}
 
 
 def word_from_str(text: str) -> Word:
@@ -315,7 +234,7 @@ def normal_order_rewrite(word: Word) -> NormalPolynomial:
     uniqueness of the normal form makes the rewrite order irrelevant.
     """
     pending: dict[Word, int] = {tuple(word): 1}
-    result: dict[NormalMonomial, GaussianRational] = {}
+    result: dict[NormalMonomial, int] = {}
     while pending:
         w, c = pending.popitem()
         i = _leftmost_inversion(w)
@@ -324,24 +243,19 @@ def normal_order_rewrite(word: Word) -> NormalPolynomial:
                 sum(1 for x in w if x is Letter.CREATOR),
                 sum(1 for x in w if x is Letter.ANNIHILATOR),
             )
-            total = result.get(mono, GaussianRational.zero()) + c
-            if total.is_zero():
-                result.pop(mono, None)
-            else:
-                result[mono] = total
+            accumulate(result, mono, c)
             continue
         swapped = w[:i] + (Letter.CREATOR, Letter.ANNIHILATOR) + w[i + 2:]
         deleted = w[:i] + w[i + 2:]
-        for nxt in (swapped, deleted):
-            pending[nxt] = pending.get(nxt, 0) + c
-            if pending[nxt] == 0:
-                del pending[nxt]
-    return _raw(result)
+        accumulate(pending, swapped, c)
+        accumulate(pending, deleted, c)
+    return NormalPolynomial(result)
 
 
 def normal_order_fold(word: Word) -> NormalPolynomial:
     """Normal ordering by mapping letters to basis elements and multiplying."""
-    return reduce(multiply, (_LETTER_POLY[letter] for letter in word), NormalPolynomial.one())
+    monomials = (letter.monomial for letter in word)
+    return reduce(mul, map(NormalPolynomial.monomial, monomials), NormalPolynomial.one())
 
 
 def normal_order_word(word: Word) -> NormalPolynomial:

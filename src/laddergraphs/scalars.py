@@ -1,14 +1,20 @@
-"""Exact complex scalars with rational real and imaginary parts.
+"""Exact complex scalars, and sparse linear combinations over them.
 
 Every coefficient in this package is a :class:`GaussianRational`: a pair of
 ``fractions.Fraction`` values.  No floating point enters any computation, so
 equality of polynomials and graph sums is always exact.
+
+:class:`LinearCombination` is the one sparse core both algebras share: a
+finitely supported map from basis keys to nonzero coefficients, kept pruned
+by :func:`accumulate`.  Normally ordered polynomials and formal sums of
+graphs differ only in their basis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Hashable, Iterable, Iterator, Mapping
 
 RationalLike = int | Fraction
 ScalarLike = "int | Fraction | GaussianRational"
@@ -128,7 +134,7 @@ class GaussianRational:
             return "0"
         if not self.im:
             return str(self.re)
-        im_mag = _rational_str(abs(self.im))
+        im_mag = abs(self.im)
         if not self.re:
             sign = "-" if self.im < 0 else ""
             return f"{sign}{im_mag}i"
@@ -147,15 +153,110 @@ class GaussianRational:
 
     @classmethod
     def from_json(cls, obj: dict) -> "GaussianRational":
+        """Inverse of :meth:`to_json`; raises only ``ValueError`` on bad input."""
         def part(p: dict) -> Fraction:
             return Fraction(int(p["num"]), int(p["den"]))
 
-        return cls(part(obj["re"]), part(obj["im"]))
-
-
-def _rational_str(q: Fraction) -> str:
-    return str(q)
+        try:
+            return cls(part(obj["re"]), part(obj["im"]))
+        except (KeyError, TypeError, ZeroDivisionError, OverflowError) as exc:
+            raise ValueError(f"malformed scalar record: {exc}") from exc
 
 
 ZERO = GaussianRational.zero()
 ONE = GaussianRational.one()
+
+
+def accumulate(acc: dict, key: Hashable, coeff) -> None:
+    """Add ``coeff`` to ``acc[key]``, dropping the key when the sum is zero.
+
+    The only accumulate-and-prune step in the package; it works for any
+    coefficient type whose truth value is "nonzero" (ints included).
+    """
+    total = acc.get(key)
+    total = coeff if total is None else total + coeff
+    if total:
+        acc[key] = total
+    else:
+        acc.pop(key, None)
+
+
+class LinearCombination:
+    """Immutable finitely supported sum of basis keys with exact coefficients.
+
+    Zero coefficients are pruned on construction and by every operation, so
+    two equal sums always have identical term maps.  A subclass fixes its
+    basis: ``_key`` normalizes a key on the way in, ``_sort_key`` orders
+    :meth:`terms`, and the subclass supplies its own product.  Sums over
+    different bases never combine or compare equal.
+    """
+
+    __slots__ = ("_terms",)
+
+    _key = staticmethod(lambda key: key)
+
+    def __init__(self, terms: Mapping | Iterable[tuple] = ()):
+        items = terms.items() if isinstance(terms, Mapping) else terms
+        acc: dict = {}
+        for key, coeff in items:
+            accumulate(acc, self._key(key), GaussianRational.coerce(coeff))
+        self._terms = acc
+
+    @classmethod
+    def _raw(cls, terms: dict):
+        """Wrap an already-pruned term dict without re-normalizing."""
+        obj = cls.__new__(cls)
+        obj._terms = terms
+        return obj
+
+    @classmethod
+    def zero(cls):
+        return cls._raw({})
+
+    def is_zero(self) -> bool:
+        return not self._terms
+
+    def __bool__(self) -> bool:
+        return bool(self._terms)
+
+    def __len__(self) -> int:
+        return len(self._terms)
+
+    def coefficient(self, key) -> GaussianRational:
+        return self._terms.get(self._key(key), ZERO)
+
+    def terms(self) -> Iterator[tuple]:
+        """Iterate terms in the subclass's canonical order."""
+        for key in sorted(self._terms, key=self._sort_key):
+            yield key, self._terms[key]
+
+    def __add__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        if not other._terms:
+            return self
+        if not self._terms:
+            return other
+        acc = dict(self._terms)
+        for key, coeff in other._terms.items():
+            accumulate(acc, key, coeff)
+        return self._raw(acc)
+
+    def __neg__(self):
+        return self._raw({key: -c for key, c in self._terms.items()})
+
+    def __sub__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self + (-other)
+
+    def scale(self, c: "ScalarLike"):
+        c = GaussianRational.coerce(c)
+        if c.is_zero():
+            return self.zero()
+        return self._raw({key: coeff * c for key, coeff in self._terms.items()})
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self._terms == other._terms

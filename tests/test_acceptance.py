@@ -18,7 +18,6 @@ from laddergraphs.exprs import ParseError, evaluate, format_polynomial, parse
 from laddergraphs.graphs import (
     GraphSum,
     enumerate_compositions,
-    graph_multiply,
     make_vertex,
     normal_order_via_graphs,
     project,
@@ -29,7 +28,6 @@ from laddergraphs.ladder import (
     Letter,
     NormalPolynomial,
     commutator_powers,
-    multiply,
     multiply_monomials,
     normal_order_fold,
     normal_order_rewrite,
@@ -69,9 +67,7 @@ def product_sweep():
                 for l in range(BOUND + 1):
                     right = make_vertex(k, l)
                     comps = enumerate_compositions(left, right)
-                    via_graphs = project_sum(
-                        graph_multiply(GraphSum.basis(left), GraphSum.basis(right))
-                    )
+                    via_graphs = project_sum(GraphSum.basis(left) * GraphSum.basis(right))
                     closed = multiply_monomials((r, s), (k, l))
                     rows[(r, s, k, l)] = (comps, via_graphs, closed)
     return rows, time.perf_counter() - start
@@ -160,7 +156,7 @@ def test_criterion_5_commutator_vs_brute_force():
 def test_criterion_6_canonical_commutation():
     a = NormalPolynomial.monomial((0, 1))
     ad = NormalPolynomial.monomial((1, 0))
-    by_algebra = multiply(a, ad) - multiply(ad, a)
+    by_algebra = a * ad - ad * a
     by_words = normal_order_rewrite(word_from_str("a ad")) - normal_order_rewrite(
         word_from_str("ad a")
     )
@@ -230,7 +226,7 @@ def test_criterion_8_structural_properties(module_clock):
     for _ in range(200):
         g1 = random_graph(rng, max_vertices=6, max_lines=2, dangling_cap=4)
         g2 = random_graph(rng, max_vertices=6, max_lines=2, dangling_cap=4)
-        lhs = project_sum(graph_multiply(GraphSum.basis(g1), GraphSum.basis(g2)))
+        lhs = project_sum(GraphSum.basis(g1) * GraphSum.basis(g2))
         rhs = multiply_monomials(project(g1), project(g2))
         if lhs != rhs:
             ok = False

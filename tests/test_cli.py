@@ -151,6 +151,20 @@ def test_render_bad_chain_syntax(capsys, tmp_path):
     assert "bad chain step" in err
 
 
+def test_closed_pipe_exits_without_traceback():
+    # The JSON document is far larger than a pipe buffer, so the write fails
+    # once the reader has gone.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "laddergraphs", "compose", "5", "5", "5", "5", "--json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 1
+    assert b"Traceback" not in err
+
+
 def test_module_entry_point_subprocess():
     result = subprocess.run(
         [sys.executable, "-m", "laddergraphs", "normal-order", "a ad"],

@@ -21,13 +21,7 @@ from laddergraphs.exprs import (
     scaled,
     sum_of,
 )
-from laddergraphs.ladder import (
-    Letter,
-    NormalMonomial,
-    NormalPolynomial,
-    add,
-    multiply,
-)
+from laddergraphs.ladder import Letter, NormalMonomial, NormalPolynomial
 from laddergraphs.scalars import GaussianRational
 
 A = LetterExpr(Letter.ANNIHILATOR)
@@ -154,9 +148,9 @@ def test_evaluate_known_expressions():
 def test_evaluate_respects_products_and_sums():
     for left, right in [("a ad", "ad a"), ("(a + ad)^2", "1"), ("2 a", "3 ad a")]:
         combined = evaluate(parse(f"({left}) ({right})"))
-        assert combined == multiply(evaluate(parse(left)), evaluate(parse(right)))
+        assert combined == evaluate(parse(left)) * evaluate(parse(right))
         summed = evaluate(parse(f"({left}) + ({right})"))
-        assert summed == add(evaluate(parse(left)), evaluate(parse(right)))
+        assert summed == evaluate(parse(left)) + evaluate(parse(right))
 
 
 def test_evaluate_rejects_foreign_objects():

@@ -1,7 +1,9 @@
 import random
+import subprocess
+import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference
@@ -27,6 +29,7 @@ from laddergraphs.graphs import (
 )
 from laddergraphs.ladder import NormalMonomial, NormalPolynomial, multiply_monomials, word_from_str
 from laddergraphs.oracles import random_graph
+from test_scalars import json_values
 
 
 def projection_table(graphs) -> NormalPolynomial:
@@ -213,6 +216,26 @@ def test_graph_sum_linearity():
     assert combined == a * a + a * b + b * a + b * b
 
 
+def test_graph_sum_cancellation_prunes():
+    a = GraphSum.basis(make_vertex(1, 0), 3)
+    assert len(a + (-a)) == 0 and len(a - a) == 0 and len(a.scale(0)) == 0
+    assert a.coefficient(make_vertex(0, 1)) == 0
+    assert NormalPolynomial.one().coefficient((2, 3)) == 0
+    with pytest.raises(TypeError):
+        hash(a)
+
+
+def test_sums_over_different_bases_do_not_mix():
+    poly, graphs = NormalPolynomial.one(), GraphSum.one()
+    for combine in (lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x * y):
+        with pytest.raises(TypeError):
+            combine(poly, graphs)
+        with pytest.raises(TypeError):
+            combine(graphs, poly)
+    assert poly != graphs and not (poly == graphs)
+    assert NormalPolynomial.zero() != GraphSum.zero()
+
+
 # -- iterative construction -------------------------------------------------------
 
 def test_build_iteratively_golden():
@@ -263,6 +286,50 @@ def test_decode_rejects_malformed_input():
         canonical_decode(b"not a graph")
     with pytest.raises(ValueError):
         canonical_decode(b"V:0,0/|E:|I:|O:0,0")  # duplicate labels
+
+
+@given(st.binary(max_size=40) | st.text("VEIO:|/;,>0123- ", max_size=30).map(str.encode))
+@example(b"V:0/1|E:0>1|I:|O:")
+def test_decode_raises_only_value_error(data):
+    try:
+        assert isinstance(canonical_decode(data), DiagGraph)
+    except ValueError:
+        pass
+
+
+def test_decode_rejects_cycles_in_optimized_mode():
+    code = (
+        "from laddergraphs.graphs import canonical_decode\n"
+        "try:\n"
+        "    canonical_decode(b'V:0/1|E:0>1|I:|O:')\n"
+        "except ValueError as exc:\n"
+        "    print(exc)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "graph contains a closed path\n"
+
+
+labels = st.lists(st.integers(-1, 3), max_size=3) | json_values
+vertex_records = st.fixed_dictionaries({}, optional={"in": labels, "out": labels}) | json_values
+graph_records = st.fixed_dictionaries({}, optional={
+    "vertices": st.lists(vertex_records, max_size=3) | json_values,
+    "edges": st.lists(labels, max_size=3) | json_values,
+    "dangling_in": labels,
+    "dangling_out": labels,
+}) | json_values
+
+
+@given(graph_records)
+@example({})
+@example({"vertices": 5, "edges": [], "dangling_in": [], "dangling_out": []})
+def test_graph_from_json_raises_only_value_error(obj):
+    try:
+        assert isinstance(graph_from_json(obj), DiagGraph)
+    except ValueError:
+        pass
 
 
 def test_json_round_trip():

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference
@@ -13,7 +13,6 @@ from laddergraphs.ladder import (
     NormalMonomial,
     NormalPolynomial,
     commutator_powers,
-    multiply,
     multiply_monomials,
     normal_order_fold,
     normal_order_rewrite,
@@ -22,6 +21,7 @@ from laddergraphs.ladder import (
     word_from_str,
 )
 from laddergraphs.scalars import GaussianRational
+from test_scalars import json_values, scalar_records
 
 monomials = st.builds(NormalMonomial, st.integers(0, 4), st.integers(0, 4))
 coeffs = st.builds(
@@ -150,6 +150,23 @@ def test_json_round_trip(p):
     assert NormalPolynomial.from_json(p.to_json()) == p
 
 
+exponents = st.integers(-1, 3) | st.integers(-1, 3).map(str) | json_values
+term_records = st.fixed_dictionaries(
+    {}, optional={"r": exponents, "s": exponents, "coeff": scalar_records}
+) | json_values
+ONE_JSON = GaussianRational(1).to_json()
+
+
+@given(st.lists(term_records, max_size=3) | json_values)
+@example([{"r": 1, "s": 0, "coeff": {"re": {"num": "1", "den": "0"}, "im": ONE_JSON["im"]}}])
+@example([{"r": 1, "coeff": ONE_JSON}])
+def test_from_json_raises_only_value_error(obj):
+    try:
+        assert isinstance(NormalPolynomial.from_json(obj), NormalPolynomial)
+    except ValueError:
+        pass
+
+
 def test_json_is_canonically_ordered():
     p = as_poly({(0, 0): 1, (1, 1): Fraction(1, 2)})
     blob = p.to_json()
@@ -233,4 +250,4 @@ def test_stirling_diagonal():
 @settings(deadline=None, max_examples=50)
 def test_normal_ordering_is_multiplicative(u, v):
     # ordering a concatenation equals multiplying the ordered halves
-    assert normal_order_fold(u + v) == multiply(normal_order_fold(u), normal_order_fold(v))
+    assert normal_order_fold(u + v) == normal_order_fold(u) * normal_order_fold(v)

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from laddergraphs.scalars import ONE, ZERO, GaussianRational
@@ -9,6 +9,20 @@ from laddergraphs.scalars import ONE, ZERO, GaussianRational
 fractions = st.fractions(min_value=-100, max_value=100, max_denominator=60)
 scalars = st.builds(GaussianRational, fractions, fractions)
 nonzero_scalars = scalars.filter(lambda x: not x.is_zero())
+
+# Arbitrary JSON documents, and scalar records built partly from them: decoder
+# fuzz tests in this and the other test modules draw on these.
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=10,
+)
+numerals = st.integers(-3, 3).map(str) | json_values
+scalar_parts = st.fixed_dictionaries({}, optional={"num": numerals, "den": numerals}) | json_values
+scalar_records = (
+    st.fixed_dictionaries({}, optional={"re": scalar_parts, "im": scalar_parts}) | json_values
+)
 
 
 def test_construction_coerces_ints():
@@ -101,6 +115,16 @@ def test_str_forms(value, text):
 @given(scalars)
 def test_json_round_trip(x):
     assert GaussianRational.from_json(x.to_json()) == x
+
+
+@given(scalar_records)
+@example({"re": {"num": "1", "den": "0"}, "im": {"num": "0", "den": "1"}})
+@example({"re": {"num": "1", "den": float("inf")}, "im": {"num": "0", "den": "1"}})
+def test_from_json_raises_only_value_error(obj):
+    try:
+        assert isinstance(GaussianRational.from_json(obj), GaussianRational)
+    except ValueError:
+        pass
 
 
 def test_json_uses_decimal_strings():
