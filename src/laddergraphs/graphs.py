@@ -30,6 +30,7 @@ stable across runs with no global state.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations, islice, permutations
@@ -338,6 +339,33 @@ def normal_order_via_graphs(word: Word) -> NormalPolynomial:
 # Serialization
 # ---------------------------------------------------------------------------
 
+_canonical_label = re.compile(r"0|[1-9][0-9]*").fullmatch
+
+
+def _decode_label(text: str) -> int:
+    """A port label of the canonical encoding: digits only, no leading zero."""
+    if not _canonical_label(text):
+        raise ValueError(f"malformed port label {text!r} in graph encoding")
+    return int(text)
+
+
+def _json_labels(values) -> tuple[int, ...]:
+    """A JSON list of port labels, each an ``int`` (not ``bool``)."""
+    if not isinstance(values, (list, tuple)):
+        raise ValueError(f"expected a list of port labels, got {values!r}")
+    for value in values:
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ValueError(f"port label must be an integer, got {value!r}")
+    return tuple(values)
+
+
+def _json_edge(value) -> tuple[int, int]:
+    edge = _json_labels(value)
+    if len(edge) != 2:
+        raise ValueError(f"an edge is a pair of port labels, got {value!r}")
+    return edge
+
+
 def canonical_encode(g: DiagGraph) -> bytes:
     """Injective, run-stable byte encoding of a labeled graph.
 
@@ -355,26 +383,37 @@ def canonical_encode(g: DiagGraph) -> bytes:
 
 
 def canonical_decode(data: bytes) -> DiagGraph:
-    """Inverse of :func:`canonical_encode`; validates the decoded structure."""
+    """Inverse of :func:`canonical_encode`; validates the decoded structure.
+
+    Only the exact output of :func:`canonical_encode` is accepted: labels are
+    unsigned decimals without leading zeros, and every separator is present,
+    so each graph has exactly one encoding.
+    """
     text = data.decode("ascii")
     fields = text.split("|")
-    if len(fields) != 4 or [f.split(":", 1)[0] for f in fields] != ["V", "E", "I", "O"]:
+    if len(fields) != 4 or [f[:2] for f in fields] != ["V:", "E:", "I:", "O:"]:
         raise ValueError(f"malformed graph encoding: {text!r}")
-    v_part, e_part, i_part, o_part = (f.split(":", 1)[1] for f in fields)
+    v_part, e_part, i_part, o_part = (f[2:] for f in fields)
+
+    def pair(chunk: str, sep: str) -> tuple[str, str]:
+        left, found, right = chunk.partition(sep)
+        if not found:
+            raise ValueError(f"missing {sep!r} in graph encoding chunk {chunk!r}")
+        return left, right
 
     def int_list(chunk: str) -> tuple[int, ...]:
-        return tuple(int(x) for x in chunk.split(",")) if chunk else ()
+        return tuple(map(_decode_label, chunk.split(","))) if chunk else ()
 
     vertices = []
     if v_part:
         for vtx in v_part.split(";"):
-            out_s, _, in_s = vtx.partition("/")
+            out_s, in_s = pair(vtx, "/")
             vertices.append(Vertex(in_ports=int_list(in_s), out_ports=int_list(out_s)))
     edges = []
     if e_part:
         for e in e_part.split(","):
-            out_s, _, in_s = e.partition(">")
-            edges.append((int(out_s), int(in_s)))
+            out_s, in_s = pair(e, ">")
+            edges.append((_decode_label(out_s), _decode_label(in_s)))
     return DiagGraph(
         vertices=tuple(vertices),
         edges=tuple(edges),
@@ -394,16 +433,20 @@ def graph_to_json(g: DiagGraph) -> dict:
 
 
 def graph_from_json(obj: dict) -> DiagGraph:
-    """Inverse of :func:`graph_to_json`; raises only ``ValueError`` on bad input."""
+    """Inverse of :func:`graph_to_json`; raises only ``ValueError`` on bad input.
+
+    Port labels must be JSON integers; floats and booleans are refused, so
+    every accepted graph also round-trips through :func:`canonical_encode`.
+    """
     try:
         return DiagGraph(
             vertices=tuple(
-                Vertex(in_ports=tuple(v["in"]), out_ports=tuple(v["out"]))
+                Vertex(in_ports=_json_labels(v["in"]), out_ports=_json_labels(v["out"]))
                 for v in obj["vertices"]
             ),
-            edges=tuple((e[0], e[1]) for e in obj["edges"]),
-            dangling_in=tuple(obj["dangling_in"]),
-            dangling_out=tuple(obj["dangling_out"]),
+            edges=tuple(map(_json_edge, obj["edges"])),
+            dangling_in=_json_labels(obj["dangling_in"]),
+            dangling_out=_json_labels(obj["dangling_out"]),
         )
     except (KeyError, IndexError, TypeError) as exc:
         raise ValueError(f"malformed graph record: {exc}") from exc

@@ -142,13 +142,23 @@ class NormalPolynomial(LinearCombination):
 
     @classmethod
     def from_json(cls, obj: list[dict]) -> "NormalPolynomial":
-        """Inverse of :meth:`to_json`; raises only ``ValueError`` on bad input."""
+        """Inverse of :meth:`to_json`; raises only ``ValueError`` on bad input.
+
+        Exponents must be JSON integers; floats, booleans and strings are
+        refused rather than converted.
+        """
+        def exponent(value) -> int:
+            if isinstance(value, int) and not isinstance(value, bool):
+                return value
+            raise ValueError(f"monomial exponent must be an integer, got {value!r}")
+
         try:
             return cls(
-                [(NormalMonomial(int(t["r"]), int(t["s"])), GaussianRational.from_json(t["coeff"]))
+                [(NormalMonomial(exponent(t["r"]), exponent(t["s"])),
+                  GaussianRational.from_json(t["coeff"]))
                  for t in obj]
             )
-        except (KeyError, TypeError, OverflowError) as exc:
+        except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed polynomial record: {exc}") from exc
 
 

@@ -1,8 +1,16 @@
 """Exact complex scalars, and sparse linear combinations over them.
 
-Every coefficient in this package is a :class:`GaussianRational`: a pair of
-``fractions.Fraction`` values.  No floating point enters any computation, so
-equality of polynomials and graph sums is always exact.
+Every coefficient in this package is a :class:`GaussianRational`, a complex
+number whose real and imaginary parts are exact rationals.  Each part is
+stored as a plain ``int`` while it is integral and as a
+``fractions.Fraction`` only when it is not; every operation turns an integral
+``Fraction`` result back into an ``int``.  Products of the ladder algebra
+have positive integer weights, so Gaussian-integer inputs never build a
+``Fraction``.  The public parts :attr:`GaussianRational.re` and
+:attr:`GaussianRational.im` are always ``Fraction``, and equality, hashing,
+``str``, ``repr`` and JSON do not depend on the stored type.  No floating
+point enters any computation, so equality of polynomials and graph sums is
+always exact.
 
 :class:`LinearCombination` is the one sparse core both algebras share: a
 finitely supported map from basis keys to nonzero coefficients, kept pruned
@@ -12,36 +20,78 @@ graphs differ only in their basis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re as _regex
 from fractions import Fraction
 from typing import Hashable, Iterable, Iterator, Mapping
 
 RationalLike = int | Fraction
 ScalarLike = "int | Fraction | GaussianRational"
 
+_decimal_int = _regex.compile(r"-?[0-9]+").fullmatch
 
-def _as_fraction(value: RationalLike) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
+
+def _as_part(value: RationalLike) -> int | Fraction:
+    """Check one part of a scalar and give it its stored form."""
     if isinstance(value, int):
-        return Fraction(value)
+        return int(value)
+    if isinstance(value, Fraction):
+        return _integral(value)
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
-@dataclass(frozen=True, slots=True)
+def _integral(value: int | Fraction) -> int | Fraction:
+    """``value`` as an ``int`` when its denominator is 1, else unchanged."""
+    return value.numerator if value.denominator == 1 else value
+
+
+def _json_int(value) -> int:
+    """An ``int`` (not ``bool``) or a decimal-integer string, as an ``int``."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str) and _decimal_int(value):
+        return int(value)
+    raise ValueError(f"expected an integer or a decimal-integer string, got {value!r}")
+
+
 class GaussianRational:
     """A complex number a + b*i with exact rational a and b.
 
-    Fraction keeps numerator/denominator in lowest terms with positive
-    denominator, so structural equality is semantic equality.
+    Immutable.  A part is stored as an ``int`` when integral and otherwise as
+    a ``Fraction`` (lowest terms, positive denominator), so structural
+    equality is semantic equality.
     """
 
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
+    __slots__ = ("_re", "_im")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "re", _as_fraction(self.re))
-        object.__setattr__(self, "im", _as_fraction(self.im))
+    def __init__(self, re: RationalLike = 0, im: RationalLike = 0):
+        _set_re(self, _as_part(re))
+        _set_im(self, _as_part(im))
+
+    @classmethod
+    def _raw(cls, re: int | Fraction, im: int | Fraction) -> "GaussianRational":
+        """Wrap parts already in stored form (no check, no normalization)."""
+        obj = _new(cls)
+        _set_re(obj, re)
+        _set_im(obj, im)
+        return obj
+
+    def __setattr__(self, name, value):
+        raise AttributeError("GaussianRational is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return GaussianRational, (self._re, self._im)
+
+    @property
+    def re(self) -> Fraction:
+        re = self._re
+        return Fraction(re) if type(re) is int else re
+
+    @property
+    def im(self) -> Fraction:
+        im = self._im
+        return Fraction(im) if type(im) is int else im
 
     # -- constructors ------------------------------------------------------
 
@@ -51,36 +101,44 @@ class GaussianRational:
 
     @classmethod
     def one(cls) -> "GaussianRational":
-        return cls(Fraction(1))
+        return cls(1)
 
     @classmethod
     def coerce(cls, value: "ScalarLike") -> "GaussianRational":
         """Accept int, Fraction or GaussianRational."""
         if isinstance(value, GaussianRational):
             return value
-        return cls(_as_fraction(value))
+        return cls._raw(_as_part(value), 0)
 
     # -- predicates --------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.re and not self.im
+        return not self._re and not self._im
 
     def is_one(self) -> bool:
-        return self.re == 1 and not self.im
+        return self._re == 1 and not self._im
 
     def __bool__(self) -> bool:
-        return not self.is_zero()
+        return bool(self._re or self._im)
 
     # -- field operations --------------------------------------------------
+    # ``int`` op ``int`` stays ``int``; a result that may be a ``Fraction``
+    # goes through ``_integral`` so integral values are stored as ``int``.
 
     def __add__(self, other: "ScalarLike") -> "GaussianRational":
-        o = GaussianRational.coerce(other)
-        return GaussianRational(self.re + o.re, self.im + o.im)
+        if type(other) is int:
+            # Adding an integer never makes a non-integral part integral.
+            return self._raw(self._re + other, self._im)
+        o = other if type(other) is GaussianRational else GaussianRational.coerce(other)
+        re = self._re + o._re
+        im = self._im + o._im
+        return self._raw(re if type(re) is int else _integral(re),
+                         im if type(im) is int else _integral(im))
 
     __radd__ = __add__
 
     def __neg__(self) -> "GaussianRational":
-        return GaussianRational(-self.re, -self.im)
+        return self._raw(-self._re, -self._im)
 
     def __sub__(self, other: "ScalarLike") -> "GaussianRational":
         return self + (-GaussianRational.coerce(other))
@@ -89,39 +147,46 @@ class GaussianRational:
         return GaussianRational.coerce(other) + (-self)
 
     def __mul__(self, other: "ScalarLike") -> "GaussianRational":
-        o = GaussianRational.coerce(other)
-        return GaussianRational(
-            self.re * o.re - self.im * o.im,
-            self.re * o.im + self.im * o.re,
-        )
+        a, b = self._re, self._im
+        if type(other) is int:
+            re, im = a * other, b * other
+        else:
+            o = other if type(other) is GaussianRational else GaussianRational.coerce(other)
+            c, d = o._re, o._im
+            re, im = a * c - b * d, a * d + b * c
+        return self._raw(re if type(re) is int else _integral(re),
+                         im if type(im) is int else _integral(im))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: "ScalarLike") -> "GaussianRational":
         o = GaussianRational.coerce(other)
-        norm = o.re * o.re + o.im * o.im
+        c, d = o._re, o._im
+        norm = c * c + d * d
         if not norm:
             raise ZeroDivisionError("division by zero scalar")
-        return self * GaussianRational(o.re / norm, -o.im / norm)
+        inverse = self._raw(_integral(Fraction(c, norm)), _integral(Fraction(-d, norm)))
+        return self * inverse
 
     def __rtruediv__(self, other: "ScalarLike") -> "GaussianRational":
         return GaussianRational.coerce(other) / self
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        return self._raw(self._re, -self._im)
 
     def __eq__(self, other: object) -> bool:
+        if isinstance(other, GaussianRational):
+            return self._re == other._re and self._im == other._im
         if isinstance(other, (int, Fraction)):
-            other = GaussianRational(_as_fraction(other))
-        if not isinstance(other, GaussianRational):
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
+            return not self._im and self._re == other
+        return NotImplemented
 
     def __hash__(self) -> int:
-        # Real values must hash like the equal Fraction/int (cross-type equality).
-        if not self.im:
-            return hash(self.re)
-        return hash((self.re, self.im))
+        # Real values must hash like the equal Fraction/int (cross-type
+        # equality); an int hashes like the equal Fraction.
+        if not self._im:
+            return hash(self._re)
+        return hash((self._re, self._im))
 
     # -- display and serialization ------------------------------------------
 
@@ -130,38 +195,48 @@ class GaussianRational:
 
         Examples: ``0``, ``3``, ``-1/2``, ``2i``, ``3+1/2i``, ``-2-3i``.
         """
-        if self.is_zero():
+        re, im = self._re, self._im
+        if not re and not im:
             return "0"
-        if not self.im:
-            return str(self.re)
-        im_mag = abs(self.im)
-        if not self.re:
-            sign = "-" if self.im < 0 else ""
+        if not im:
+            return str(re)
+        im_mag = abs(im)
+        if not re:
+            sign = "-" if im < 0 else ""
             return f"{sign}{im_mag}i"
-        sign = "-" if self.im < 0 else "+"
-        return f"{self.re}{sign}{im_mag}i"
+        sign = "-" if im < 0 else "+"
+        return f"{re}{sign}{im_mag}i"
 
     def __repr__(self) -> str:
         return f"GaussianRational({self.re!r}, {self.im!r})"
 
     def to_json(self) -> dict:
         """Decimal-string numerators/denominators, arbitrary precision."""
+        re, im = self._re, self._im
         return {
-            "re": {"num": str(self.re.numerator), "den": str(self.re.denominator)},
-            "im": {"num": str(self.im.numerator), "den": str(self.im.denominator)},
+            "re": {"num": str(re.numerator), "den": str(re.denominator)},
+            "im": {"num": str(im.numerator), "den": str(im.denominator)},
         }
 
     @classmethod
     def from_json(cls, obj: dict) -> "GaussianRational":
-        """Inverse of :meth:`to_json`; raises only ``ValueError`` on bad input."""
-        def part(p: dict) -> Fraction:
-            return Fraction(int(p["num"]), int(p["den"]))
+        """Inverse of :meth:`to_json`; raises only ``ValueError`` on bad input.
+
+        ``num`` and ``den`` must each be an ``int`` or a decimal-integer
+        string; floats, booleans and other numerals are refused.
+        """
+        def part(p: dict) -> int | Fraction:
+            return _integral(Fraction(_json_int(p["num"]), _json_int(p["den"])))
 
         try:
-            return cls(part(obj["re"]), part(obj["im"]))
-        except (KeyError, TypeError, ZeroDivisionError, OverflowError) as exc:
+            return cls._raw(part(obj["re"]), part(obj["im"]))
+        except (KeyError, TypeError, ZeroDivisionError) as exc:
             raise ValueError(f"malformed scalar record: {exc}") from exc
 
+
+_new = object.__new__
+_set_re = GaussianRational._re.__set__
+_set_im = GaussianRational._im.__set__
 
 ZERO = GaussianRational.zero()
 ONE = GaussianRational.one()

@@ -297,6 +297,46 @@ def test_decode_raises_only_value_error(data):
         pass
 
 
+@pytest.mark.parametrize("data", [
+    b"V:+0/ 1|E:|I:1|O:0",  # sign and space
+    b"V:00/1|E:|I:1|O:00",  # leading zeros
+    b"V:0/1|E:|I:01|O:0",
+    b"V:0|E:|I:|O:0",  # vertex without '/'
+    b"V:0/1;1/0|E:0,1|I:|O:",  # edge without '>'
+    b"V|E|I|O",  # fields without ':'
+    b"V:0/1|E:|I:1|O:\xd9\xa0",  # non-ASCII
+    "V:0/1|E:|I:1|O:\u0660".encode(),  # Arabic-Indic zero
+])
+def test_decode_refuses_non_canonical_encodings(data):
+    with pytest.raises(ValueError):
+        canonical_decode(data)
+
+
+labels_text = st.sampled_from(["0", "1", "2", "3", "00", "01", "+1", " 2", "-0", "1_0", ""])
+label_lists = st.lists(labels_text, max_size=3).map(",".join)
+vertex_text = st.tuples(label_lists, st.sampled_from(["/", "/", "", "//"]), label_lists).map("".join)
+edge_text = st.tuples(labels_text, st.sampled_from([">", ">", ""]), labels_text).map("".join)
+encodings = st.tuples(
+    st.lists(vertex_text, max_size=3).map(";".join),
+    st.lists(edge_text, max_size=2).map(",".join),
+    label_lists,
+    label_lists,
+).map(lambda parts: "V:{}|E:{}|I:{}|O:{}".format(*parts).encode("ascii"))
+
+
+@given(encodings | st.text("VEIO:|/;,>0123+- ", max_size=30).map(str.encode))
+@settings(max_examples=400)
+@example(b"V:+0/ 1|E:|I:1|O:0")
+@example(b"V:0/1|E:|I:1|O:0")
+@example(b"V:/;0,1/2|E:1>2|I:|O:0")
+def test_decode_accepts_only_the_canonical_encoding(data):
+    try:
+        g = canonical_decode(data)
+    except ValueError:
+        return
+    assert canonical_encode(g) == data
+
+
 def test_decode_rejects_cycles_in_optimized_mode():
     code = (
         "from laddergraphs.graphs import canonical_decode\n"
@@ -322,14 +362,80 @@ graph_records = st.fixed_dictionaries({}, optional={
 }) | json_values
 
 
+FLOAT_LABEL_RECORD = {"vertices": [{"in": [1.0], "out": [0]}], "edges": [],
+                      "dangling_in": [1.0], "dangling_out": [0]}
+
+
 @given(graph_records)
 @example({})
 @example({"vertices": 5, "edges": [], "dangling_in": [], "dangling_out": []})
+@example(FLOAT_LABEL_RECORD)
 def test_graph_from_json_raises_only_value_error(obj):
     try:
         assert isinstance(graph_from_json(obj), DiagGraph)
     except ValueError:
         pass
+
+
+mixed_labels = st.lists(st.sampled_from([0, 1, 2, 3, 0.0, 1.0, 2.0, True, False]), max_size=3)
+mixed_graph_records = st.fixed_dictionaries({
+    "vertices": st.lists(st.fixed_dictionaries({"in": mixed_labels, "out": mixed_labels}), max_size=2),
+    "edges": st.lists(mixed_labels, max_size=2),
+    "dangling_in": mixed_labels,
+    "dangling_out": mixed_labels,
+})
+
+
+@given(mixed_graph_records)
+@settings(max_examples=400)
+@example(FLOAT_LABEL_RECORD)
+@example({"vertices": [{"in": [True], "out": [0]}], "edges": [],
+          "dangling_in": [True], "dangling_out": [0]})
+@example({"vertices": [{"in": [1], "out": [0]}], "edges": [], "dangling_in": [1], "dangling_out": [0]})
+def test_accepted_json_graphs_round_trip_through_canonical_encoding(obj):
+    try:
+        g = graph_from_json(obj)
+    except ValueError:
+        return
+    assert canonical_decode(canonical_encode(g)) == g
+    assert graph_to_json(g) == obj
+
+
+@pytest.mark.parametrize("label", [1.0, True, "1", None])
+def test_graph_from_json_refuses_non_integer_labels(label):
+    record = {"vertices": [{"in": [label], "out": [0]}], "edges": [],
+              "dangling_in": [label], "dangling_out": [0]}
+    with pytest.raises(ValueError):
+        graph_from_json(record)
+    edge_record = {"vertices": [{"in": [1], "out": [0]}, {"in": [3], "out": [2]}],
+                   "edges": [[2, label]], "dangling_in": [3], "dangling_out": [0]}
+    with pytest.raises(ValueError):
+        graph_from_json(edge_record)
+    assert isinstance(graph_from_json({**edge_record, "edges": [[2, 1]]}), DiagGraph)
+
+
+def test_decoders_refuse_found_inputs_in_optimized_mode():
+    code = (
+        "from laddergraphs.graphs import canonical_decode, graph_from_json\n"
+        "from laddergraphs.ladder import NormalPolynomial\n"
+        "calls = [\n"
+        "    lambda: canonical_decode(b'V:+0/ 1|E:|I:1|O:0'),\n"
+        "    lambda: graph_from_json({'vertices': [{'in': [1.0], 'out': [0]}], 'edges': [],\n"
+        "                             'dangling_in': [1.0], 'dangling_out': [0]}),\n"
+        "    lambda: NormalPolynomial.from_json([{'r': 1.9, 's': True, 'coeff': {\n"
+        "        're': {'num': 2.7, 'den': 1}, 'im': {'num': '0', 'den': '1'}}}]),\n"
+        "]\n"
+        "for call in calls:\n"
+        "    try:\n"
+        "        call()\n"
+        "    except ValueError:\n"
+        "        print('refused')\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "refused\n" * 3
 
 
 def test_json_round_trip():

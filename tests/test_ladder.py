@@ -155,16 +155,31 @@ term_records = st.fixed_dictionaries(
     {}, optional={"r": exponents, "s": exponents, "coeff": scalar_records}
 ) | json_values
 ONE_JSON = GaussianRational(1).to_json()
+FLOAT_RECORD = [{"r": 1.9, "s": True,
+                 "coeff": {"re": {"num": 2.7, "den": 1}, "im": {"num": "0", "den": "1"}}}]
 
 
 @given(st.lists(term_records, max_size=3) | json_values)
 @example([{"r": 1, "s": 0, "coeff": {"re": {"num": "1", "den": "0"}, "im": ONE_JSON["im"]}}])
 @example([{"r": 1, "coeff": ONE_JSON}])
+@example(FLOAT_RECORD)
 def test_from_json_raises_only_value_error(obj):
     try:
         assert isinstance(NormalPolynomial.from_json(obj), NormalPolynomial)
     except ValueError:
         pass
+
+
+@pytest.mark.parametrize("r, s, coeff", [
+    (1.9, True, {"re": {"num": 2.7, "den": 1}, "im": {"num": "0", "den": "1"}}),
+    (1.0, 1, ONE_JSON),
+    (1, False, ONE_JSON),
+    ("1", 1, ONE_JSON),
+    (1, 1, {"re": {"num": "2", "den": True}, "im": {"num": "0", "den": "1"}}),
+])
+def test_from_json_refuses_non_integer_fields(r, s, coeff):
+    with pytest.raises(ValueError):
+        NormalPolynomial.from_json([{"r": r, "s": s, "coeff": coeff}])
 
 
 def test_json_is_canonically_ordered():

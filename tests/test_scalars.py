@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -119,6 +121,7 @@ def test_json_round_trip(x):
 
 @given(scalar_records)
 @example({"re": {"num": "1", "den": "0"}, "im": {"num": "0", "den": "1"}})
+@example({"re": {"num": 2.7, "den": 1}, "im": {"num": "0", "den": "1"}})
 @example({"re": {"num": "1", "den": float("inf")}, "im": {"num": "0", "den": "1"}})
 def test_from_json_raises_only_value_error(obj):
     try:
@@ -133,3 +136,126 @@ def test_json_uses_decimal_strings():
         "re": {"num": "-7", "den": "3"},
         "im": {"num": "1", "den": "2"},
     }
+
+
+@pytest.mark.parametrize("num, den", [
+    (2.7, 1), ("2", 1.0), (True, 1), ("1", False), ("2.7", "1"), ("+1", "1"), (" 1", "1"),
+    ("1_0", "1"), ("\u0661", "1"), ("", "1"), (None, "1"), ([1], "1"),
+])
+def test_from_json_refuses_non_integer_numerals(num, den):
+    record = {"re": {"num": num, "den": den}, "im": {"num": "0", "den": "1"}}
+    with pytest.raises(ValueError):
+        GaussianRational.from_json(record)
+
+
+def test_from_json_accepts_ints_and_decimal_strings():
+    record = {"re": {"num": -6, "den": "4"}, "im": {"num": "7", "den": 1}}
+    assert GaussianRational.from_json(record) == GaussianRational(Fraction(-3, 2), 7)
+
+
+# -- differential test against a two-Fraction model -----------------------------
+# The model is the plain (re, im) pair of Fractions the stored form must agree
+# with, whichever of int and Fraction each part is stored as.
+
+model_parts = (
+    st.sampled_from([Fraction(1, 2), Fraction(-1, 2), Fraction(1, 3), Fraction(2, 3), Fraction(4, 2)])
+    | st.fractions(min_value=-6, max_value=6, max_denominator=4)
+    | st.integers(-6, 6)
+)
+model_pairs = st.tuples(model_parts, model_parts)
+
+
+def m_add(x, y):
+    return (x[0] + y[0], x[1] + y[1])
+
+
+def m_mul(x, y):
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def m_div(x, y):
+    norm = y[0] * y[0] + y[1] * y[1]
+    return ((x[0] * y[0] + x[1] * y[1]) / norm, (x[1] * y[0] - x[0] * y[1]) / norm)
+
+
+def m_str(re, im):
+    if not re and not im:
+        return "0"
+    if not im:
+        return str(re)
+    mag = f"{abs(im)}i"
+    if not re:
+        return ("-" if im < 0 else "") + mag
+    return f"{re}{'-' if im < 0 else '+'}{mag}"
+
+
+def assert_matches_model(z, model):
+    re, im = Fraction(model[0]), Fraction(model[1])
+    assert type(z.re) is Fraction and type(z.im) is Fraction
+    assert (z.re, z.im) == (re, im)
+    assert z == GaussianRational(re, im)
+    assert (z == re) == (im == 0)
+    assert hash(z) == (hash(re) if not im else hash((re, im)))
+    assert str(z) == m_str(re, im)
+    assert z.to_json() == {
+        "re": {"num": str(re.numerator), "den": str(re.denominator)},
+        "im": {"num": str(im.numerator), "den": str(im.denominator)},
+    }
+    assert z.is_zero() == (not re and not im) == (not z)
+    assert z.is_one() == (re == 1 and not im)
+    # Stored form: a part is an int exactly when it is integral.
+    for part in (z._re, z._im):
+        assert type(part) is int or part.denominator != 1
+
+
+@given(model_pairs, model_pairs, st.integers(-4, 4))
+@example((Fraction(1, 2), 0), (2, 0), 2)
+@example((Fraction(1, 3), 0), (Fraction(2, 3), 0), 3)
+@example((Fraction(1, 2), Fraction(1, 2)), (1, -1), 0)
+def test_matches_two_fraction_model(p, q, n):
+    x, y = GaussianRational(*p), GaussianRational(*q)
+    mx, my, mn = (Fraction(p[0]), Fraction(p[1])), (Fraction(q[0]), Fraction(q[1])), (n, 0)
+    neg_y, neg_n = (-my[0], -my[1]), (-n, 0)
+    cases = [
+        (x, mx),
+        (x + y, m_add(mx, my)),
+        (x - y, m_add(mx, neg_y)),
+        (x * y, m_mul(mx, my)),
+        (-x, (-mx[0], -mx[1])),
+        (x.conjugate(), (mx[0], -mx[1])),
+        (x + n, m_add(mx, mn)),
+        (n + x, m_add(mx, mn)),
+        (x - n, m_add(mx, neg_n)),
+        (n - x, m_add(mn, (-mx[0], -mx[1]))),
+        (x * n, m_mul(mx, mn)),
+        (n * x, m_mul(mx, mn)),
+        (x * Fraction(n, 2), m_mul(mx, (Fraction(n, 2), 0))),
+    ]
+    if any(my):
+        cases.append((x / y, m_div(mx, my)))
+    if n:
+        cases.append((x / n, m_div(mx, mn)))
+    if any(mx):
+        cases.append((n / x, m_div(mn, mx)))
+    for value, model in cases:
+        assert_matches_model(value, model)
+    assert (x == y) == (mx == my)
+    assert (hash(x) == hash(y)) or mx != my
+
+
+def test_integral_fraction_equals_int():
+    values = [GaussianRational(Fraction(4, 2)), GaussianRational(2), 2, Fraction(2)]
+    for a in values:
+        for b in values:
+            assert a == b and hash(a) == hash(b)
+    assert repr(values[0]) == repr(values[1]) == "GaussianRational(Fraction(2, 1), Fraction(0, 1))"
+
+
+def test_scalars_are_immutable_and_picklable():
+    x = GaussianRational(Fraction(1, 2), 3)
+    with pytest.raises(AttributeError):
+        x.re = Fraction(5)
+    with pytest.raises(AttributeError):
+        x._im = 5
+    assert pickle.loads(pickle.dumps(x)) == x
+    assert copy.deepcopy(x) == x and str(copy.copy(x)) == "1/2+3i"
