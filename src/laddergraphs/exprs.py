@@ -177,10 +177,18 @@ def _tokenize(text: str) -> list[_Token]:
 # Parser
 # ---------------------------------------------------------------------------
 
+# Deepest parenthesis nesting that parse accepts (GRAMMAR.md, "Errors").  The
+# parser and evaluate recurse a few frames per level, so the bound keeps both
+# well inside Python's recursion limit; a deeper '(' is a ParseError at its
+# own position.
+MAX_NESTING = 100
+
+
 class _Parser:
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0  # open parentheses around the current position
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -262,11 +270,19 @@ class _Parser:
             self.advance()
             return IdentityExpr()
         if tok.kind == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(
+                    tok.pos,
+                    f"nesting too deep at position {tok.pos}: "
+                    f"more than {MAX_NESTING} open parentheses",
+                )
             self.advance()
+            self.depth += 1
             inner = self.parse_expr()
             if self.peek().kind != ")":
                 raise self.error("')'")
             self.advance()
+            self.depth -= 1
             return inner
         raise self.error("'a', 'ad', '1' or '('")
 

@@ -26,6 +26,17 @@ operand of a composition is embedded by shifting its labels up by the left
 operand's port count.  The shift is order-preserving and additive, so label
 assignment commutes with reassociating products and canonical encodings are
 stable across runs with no global state.
+
+Validation happens where graphs enter the package.  The public
+``DiagGraph(...)`` constructor, :func:`canonical_decode` and
+:func:`graph_from_json` check every label, edge and dangling list and search
+for cycles, under ``python -O`` too.  Graphs the package builds itself --
+:func:`make_vertex`, :func:`void_graph` and every composition -- are valid by
+construction (fresh labels, a shift that keeps the operands apart, new edges
+only from ``g2`` into ``g1``) and go through the private
+``DiagGraph._trusted``, which skips the checks.  Composition does its
+per-operand-pair work (the shift and the embedded copy of ``g2``) once per
+pair, not once per matching.
 """
 
 from __future__ import annotations
@@ -36,7 +47,7 @@ from functools import reduce
 from itertools import combinations, islice, permutations
 from math import comb, factorial
 from operator import mul
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .ladder import NormalMonomial, NormalPolynomial, Word
 from .scalars import ONE, GaussianRational, LinearCombination, ScalarLike, accumulate
@@ -59,6 +70,11 @@ class DiagGraph:
     ``edges`` are (out-port, in-port) pairs, stored sorted.  ``dangling_in``
     and ``dangling_out`` list the unmatched in-ports (gray spots) and
     out-ports (white spots) in a significant order.
+
+    Calling the class validates its arguments, the path for external input:
+    it raises ``ValueError`` when the labels, edges or dangling lists do not
+    form a valid acyclic graph.  The package's own constructions, valid by
+    construction, use :meth:`_trusted` instead.
     """
 
     vertices: tuple[Vertex, ...] = ()
@@ -68,6 +84,16 @@ class DiagGraph:
 
     def __post_init__(self) -> None:
         self._validate()
+
+    @classmethod
+    def _trusted(cls, vertices, edges, dangling_in, dangling_out) -> "DiagGraph":
+        """A graph from fields the caller guarantees valid; nothing is checked."""
+        graph = object.__new__(cls)
+        object.__setattr__(graph, "vertices", vertices)
+        object.__setattr__(graph, "edges", edges)
+        object.__setattr__(graph, "dangling_in", dangling_in)
+        object.__setattr__(graph, "dangling_out", dangling_out)
+        return graph
 
     # -- structure ----------------------------------------------------------
 
@@ -87,6 +113,11 @@ class DiagGraph:
         return in_owner, out_owner
 
     def _validate(self) -> None:
+        for v in self.vertices:
+            _check_labels(v.in_ports)
+            _check_labels(v.out_ports)
+        for ports in (self.dangling_in, self.dangling_out, *self.edges):
+            _check_labels(ports)
         in_owner, out_owner = self.port_owners()
         labels = sorted(in_owner) + sorted(out_owner)
         if len(labels) != self.port_count or sorted(labels) != list(range(len(labels))):
@@ -143,9 +174,16 @@ class DiagGraph:
         return canonical_encode(self).decode("ascii")
 
 
+def _check_labels(values) -> None:
+    """Refuse any port label that is not an ``int``, or that is a ``bool``."""
+    for value in values:
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ValueError(f"port label must be an integer, got {value!r}")
+
+
 def void_graph() -> DiagGraph:
     """The graph with no vertices and no lines; the multiplicative unit."""
-    return DiagGraph()
+    return DiagGraph._trusted((), (), (), ())
 
 
 def make_vertex(r: int, s: int) -> DiagGraph:
@@ -157,11 +195,8 @@ def make_vertex(r: int, s: int) -> DiagGraph:
         raise ValueError("line counts must be nonnegative")
     out_ports = tuple(range(r))
     in_ports = tuple(range(r, r + s))
-    return DiagGraph(
-        vertices=(Vertex(in_ports=in_ports, out_ports=out_ports),),
-        edges=(),
-        dangling_in=in_ports,
-        dangling_out=out_ports,
+    return DiagGraph._trusted(
+        (Vertex(in_ports=in_ports, out_ports=out_ports),), (), in_ports, out_ports
     )
 
 
@@ -202,6 +237,40 @@ def _shift_vertex(v: Vertex, offset: int) -> Vertex:
     )
 
 
+def _composer(g1: DiagGraph, g2: DiagGraph) -> Callable[[Matching], DiagGraph]:
+    """The compositions of ``g1`` with ``g2`` as a function of the matching.
+
+    The per-pair work is done here, once: the shift, the shifted vertices and
+    edges of ``g2`` and its shifted dangling ports.  Each call then adds one
+    edge per matched pair and drops the matched spots.  The matching must be
+    valid (:func:`compose` checks a caller's); the result is then valid by
+    construction and built with ``DiagGraph._trusted``.
+    """
+    shift = g1.port_count
+    vertices = g1.vertices + tuple(_shift_vertex(v, shift) for v in g2.vertices)
+    # Every out-port of g1 is below ``shift``, so g1's sorted edges stay a
+    # sorted prefix and only the edges leaving g2 need sorting.
+    g1_edges = g1.edges
+    g2_edges = [(out_p + shift, in_p + shift) for out_p, in_p in g2.edges]
+    g1_grays, g1_whites = g1.dangling_in, g1.dangling_out
+    g2_grays = tuple(p + shift for p in g2.dangling_in)
+    g2_whites = tuple(p + shift for p in g2.dangling_out)
+    trusted = DiagGraph._trusted
+
+    def build(matching: Matching) -> DiagGraph:
+        joined = [(white + shift, gray) for gray, white in matching]
+        matched_gray = {gray for _, gray in joined}
+        matched_white = {white for white, _ in joined}
+        return trusted(
+            vertices,
+            g1_edges + tuple(sorted(g2_edges + joined)),
+            tuple([p for p in g1_grays if p not in matched_gray]) + g2_grays,
+            g1_whites + tuple([p for p in g2_whites if p not in matched_white]),
+        )
+
+    return build
+
+
 def compose(g1: DiagGraph, g2: DiagGraph, matching: Matching) -> DiagGraph:
     """One composition of ``g1`` with ``g2`` for a chosen partial matching.
 
@@ -210,7 +279,6 @@ def compose(g1: DiagGraph, g2: DiagGraph, matching: Matching) -> DiagGraph:
     shifted by ``g1.port_count``; matched pairs become edges from ``g2`` into
     ``g1``.
     """
-    shift = g1.port_count
     gray_set = set(g1.dangling_in)
     white_set = set(g2.dangling_out)
     matched_gray: set[int] = set()
@@ -222,17 +290,7 @@ def compose(g1: DiagGraph, g2: DiagGraph, matching: Matching) -> DiagGraph:
             raise ValueError(f"invalid matching: {white} is not an unmatched white spot of the second graph")
         matched_gray.add(gray)
         matched_white.add(white)
-    edges = list(g1.edges)
-    edges.extend((out_p + shift, in_p + shift) for out_p, in_p in g2.edges)
-    edges.extend((white + shift, gray) for gray, white in matching)
-    return DiagGraph(
-        vertices=g1.vertices + tuple(_shift_vertex(v, shift) for v in g2.vertices),
-        edges=tuple(sorted(edges)),
-        dangling_in=tuple(p for p in g1.dangling_in if p not in matched_gray)
-        + tuple(p + shift for p in g2.dangling_in),
-        dangling_out=g1.dangling_out
-        + tuple(p + shift for p in g2.dangling_out if p not in matched_white),
-    )
+    return _composer(g1, g2)(matching)
 
 
 def enumerate_compositions(g1: DiagGraph, g2: DiagGraph) -> list[DiagGraph]:
@@ -242,10 +300,7 @@ def enumerate_compositions(g1: DiagGraph, g2: DiagGraph) -> list[DiagGraph]:
     disjoint union (empty matching).  All outputs are pairwise distinct as
     labeled graphs.
     """
-    return [
-        compose(g1, g2, matching)
-        for matching in enumerate_matchings(g1.dangling_in, g2.dangling_out)
-    ]
+    return list(map(_composer(g1, g2), enumerate_matchings(g1.dangling_in, g2.dangling_out)))
 
 
 def build_iteratively(steps: Iterable[tuple[int, int, int]]) -> DiagGraph:
@@ -350,12 +405,9 @@ def _decode_label(text: str) -> int:
 
 
 def _json_labels(values) -> tuple[int, ...]:
-    """A JSON list of port labels, each an ``int`` (not ``bool``)."""
+    """A JSON list of port labels; :class:`DiagGraph` checks each label."""
     if not isinstance(values, (list, tuple)):
         raise ValueError(f"expected a list of port labels, got {values!r}")
-    for value in values:
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ValueError(f"port label must be an integer, got {value!r}")
     return tuple(values)
 
 

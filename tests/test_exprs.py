@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from laddergraphs.exprs import (
+    MAX_NESTING,
     IdentityExpr,
     LetterExpr,
     ParseError,
@@ -113,6 +114,19 @@ def test_error_positions(text, position, fragment):
     assert fragment in str(excinfo.value)
 
 
+def test_nesting_limit():
+    at_limit = "(" * MAX_NESTING + "a" + ")" * MAX_NESTING
+    assert parse(at_limit) == A
+    assert parse(at_limit + " " + at_limit) == ProductExpr((A, A))  # depth, not count
+    for depth in (MAX_NESTING + 1, 400, 5000):
+        with pytest.raises(ParseError, match="nesting too deep") as excinfo:
+            parse("(" * depth + "a" + ")" * depth)
+        assert excinfo.value.position == MAX_NESTING  # the first '(' past the limit
+    with pytest.raises(ParseError) as excinfo:
+        parse("( " * 400)
+    assert excinfo.value.position == 2 * MAX_NESTING
+
+
 def test_unary_minus_on_letters_is_not_in_the_grammar():
     with pytest.raises(ParseError):
         parse("-a")
@@ -206,3 +220,47 @@ def test_fuzz_parser_never_crashes():
         except ParseError:
             continue
         evaluate(node)  # whatever parses must also evaluate
+
+
+def nested(rng: random.Random, depth: int) -> str:
+    """A well-formed expression with ``depth`` nested parentheses.
+
+    The wrappers use ``a`` and scalars only, so the normally ordered result
+    stays small at any depth.
+    """
+    text = rng.choice(["a", "ad", "1", "2 ad", "ad^2", "1/2 ad a"])
+    for _ in range(depth):
+        left = rng.choice(["", "a ", "2 ", "1/3-2i ", "a^2 "])
+        right = rng.choice(["", " a", " + 1", " - 2i", "^1"])
+        text = f"{left}({text}){right}"
+    return text
+
+
+def test_fuzz_parser_deep_and_wide_inputs():
+    rng = random.Random(4321)
+    for _ in range(60):
+        depth = rng.randint(0, 3 * MAX_NESTING)
+        text = nested(rng, depth)
+        if depth <= MAX_NESTING:
+            evaluate(parse(text))
+        else:
+            with pytest.raises(ParseError, match="nesting too deep") as excinfo:
+                parse(text)
+            opening = [i for i, ch in enumerate(text) if ch == "("]
+            assert excinfo.value.position == opening[MAX_NESTING]
+    wide = [
+        " + ".join(rng.choice(["a", "2 ad", "ad a", "-1/2", "3i a"]) for _ in range(3000)),
+        "a " * 3000,
+        "(a)" * 3000,
+        " - ".join(nested(rng, MAX_NESTING) for _ in range(20)),
+    ]
+    for text in wide:
+        evaluate(parse(text))
+    alphabet = "((()) aad^2+-1"
+    for _ in range(200):
+        text = "".join(rng.choice(alphabet) for _ in range(rng.randint(100, 1500)))
+        try:
+            node = parse(text)
+        except ParseError:
+            continue
+        evaluate(node)

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import subprocess
 import sys
@@ -98,6 +99,99 @@ def test_has_cycle_accepts_chains():
     assert not g.has_cycle()
 
 
+@pytest.mark.parametrize("label", [1.0, True])
+def test_validation_rejects_non_integer_labels(label):
+    with pytest.raises(ValueError, match="port label must be an integer"):
+        DiagGraph(vertices=(Vertex((label,), (0,)),), dangling_in=(label,), dangling_out=(0,))
+    two = (Vertex((1,), (0,)), Vertex((3,), (2,)))
+    with pytest.raises(ValueError, match="port label must be an integer"):  # only in an edge
+        DiagGraph(vertices=two, edges=((2, label),), dangling_in=(3,), dangling_out=(0,))
+    with pytest.raises(ValueError, match="port label must be an integer"):  # only dangling
+        DiagGraph(vertices=(Vertex((1,), (0,)),), dangling_in=(label,), dangling_out=(0,))
+    ok = DiagGraph(vertices=two, edges=((2, 1),), dangling_in=(3,), dangling_out=(0,))
+    assert canonical_encode(ok) == b"V:0/1;2/3|E:2>1|I:3|O:0"
+
+
+def test_constructor_refuses_non_integer_labels_in_optimized_mode():
+    code = (
+        "from laddergraphs.graphs import DiagGraph, Vertex\n"
+        "for label in (1.0, True):\n"
+        "    try:\n"
+        "        DiagGraph(vertices=(Vertex((label,), (0,)),), dangling_in=(label,),\n"
+        "                  dangling_out=(0,))\n"
+        "    except ValueError:\n"
+        "        print('refused')\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "refused\n" * 2
+
+
+# -- trusted construction ---------------------------------------------------------
+
+@pytest.fixture
+def validations(monkeypatch):
+    """Counts calls of ``DiagGraph._validate``; the checks still run."""
+    calls = []
+    original = DiagGraph._validate
+
+    def counting(self):
+        calls.append(self)
+        original(self)
+
+    monkeypatch.setattr(DiagGraph, "_validate", counting)
+    return calls
+
+
+def test_package_constructions_are_not_validated(validations):
+    comps = enumerate_compositions(make_vertex(3, 3), make_vertex(3, 3))
+    assert len(comps) == count_matchings(3, 3)
+    left = GraphSum.basis(build_iteratively([(2, 1, 0), (2, 2, 2)]))
+    right = GraphSum.basis(build_iteratively([(1, 2, 0), (2, 1, 1)]))
+    assert len(left * right) > 0
+    assert normal_order_via_graphs(word_from_str("a ad a ad")) == NormalPolynomial(
+        reference.normal_order_string("aAaA"))
+    assert compose(make_vertex(1, 1), make_vertex(1, 1), ((1, 0),))
+    assert validations == []
+
+
+def test_external_input_is_validated(validations):
+    g = build_iteratively([(2, 1, 0), (2, 2, 2)])
+    assert validations == []
+    assert DiagGraph(g.vertices, g.edges, g.dangling_in, g.dangling_out) == g
+    assert canonical_decode(canonical_encode(g)) == g
+    assert graph_from_json(graph_to_json(g)) == g
+    assert len(validations) == 3
+
+
+@st.composite
+def chains(draw, max_vertices=3, max_lines=2):
+    """Steps for ``build_iteratively``: every matching index is in range."""
+    steps, gray = [], 0
+    for _ in range(draw(st.integers(0, max_vertices))):
+        r, s = draw(st.integers(0, max_lines)), draw(st.integers(0, max_lines))
+        steps.append((r, s, draw(st.integers(0, count_matchings(gray, r) - 1))))
+        gray = len(build_iteratively(steps).dangling_in)
+    return steps
+
+
+@given(chains(), chains())
+@settings(deadline=None, max_examples=60)
+def test_compositions_equal_their_validated_rebuild(steps1, steps2):
+    g1, g2 = build_iteratively(steps1), build_iteratively(steps2)
+    comps = enumerate_compositions(g1, g2)
+    assert len(comps) == count_matchings(len(g1.dangling_in), len(g2.dangling_out))
+    for g in comps:
+        rebuilt = DiagGraph(**{f.name: getattr(g, f.name) for f in dataclasses.fields(g)})
+        assert rebuilt == g and hash(rebuilt) == hash(g)
+        blob = canonical_encode(g)
+        decoded = canonical_decode(blob)
+        assert decoded == g and hash(decoded) == hash(g)
+        assert canonical_encode(decoded) == blob
+
+
 # -- matchings ------------------------------------------------------------------
 
 def test_matchings_against_recursive_reference():
@@ -156,6 +250,10 @@ def test_compose_rejects_invalid_matchings():
         compose(g1, g2, ((0, 0),))  # 0 is an out-port of g1, not a gray spot
     with pytest.raises(ValueError):
         compose(g1, g2, ((1, 1),))  # 1 is an in-port of g2, not a white spot
+    with pytest.raises(ValueError, match="1 is not an unmatched gray spot"):
+        compose(g1, make_vertex(2, 1), ((1, 0), (1, 1)))  # gray 1 twice
+    with pytest.raises(ValueError, match="0 is not an unmatched white spot"):
+        compose(make_vertex(1, 2), g2, ((1, 0), (2, 0)))  # white 0 twice
     ok = compose(g1, g2, ((1, 0),))
     assert ok.edges == ((2, 1),)
 
