@@ -27,8 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
-from operator import mul
+from operator import add, mul
 
 from .ladder import Letter, NormalMonomial, NormalPolynomial
 from .scalars import GaussianRational
@@ -178,9 +177,8 @@ def _tokenize(text: str) -> list[_Token]:
 # ---------------------------------------------------------------------------
 
 # Deepest parenthesis nesting that parse accepts (GRAMMAR.md, "Errors").  The
-# parser and evaluate recurse a few frames per level, so the bound keeps both
-# well inside Python's recursion limit; a deeper '(' is a ParseError at its
-# own position.
+# parser recurses a few frames per level, so the bound keeps it well inside
+# Python's recursion limit; a deeper '(' is a ParseError at its own position.
 MAX_NESTING = 100
 
 
@@ -342,21 +340,50 @@ def parse(text: str) -> ExprNode:
 # Evaluation
 # ---------------------------------------------------------------------------
 
-def evaluate(node: ExprNode) -> NormalPolynomial:
-    """Map an AST to its unique normally ordered polynomial."""
+_END = object()
+
+
+def _open(node: ExprNode) -> list:
+    """The evaluation frame of one node: ``[children, value, fold]``.
+
+    The node's value starts at ``value`` and takes in each child's value in
+    turn as ``value = fold(value, child_value)``; a leaf has no children.
+    """
     if isinstance(node, IdentityExpr):
-        return NormalPolynomial.one()
+        return [iter(()), NormalPolynomial.one(), None]
     if isinstance(node, LetterExpr):
-        return NormalPolynomial.monomial(node.letter.monomial)
+        return [iter(()), NormalPolynomial.monomial(node.letter.monomial), None]
     if isinstance(node, PowerExpr):
-        return evaluate(node.base) ** node.exponent
+        return [iter((node.base,)), None, lambda _, base: base ** node.exponent]
     if isinstance(node, ProductExpr):
-        return reduce(mul, map(evaluate, node.factors), NormalPolynomial.one())
+        return [iter(node.factors), NormalPolynomial.one(), mul]
     if isinstance(node, SumExpr):
-        return sum(map(evaluate, node.terms), NormalPolynomial.zero())
+        return [iter(node.terms), NormalPolynomial.zero(), add]
     if isinstance(node, ScaledExpr):
-        return evaluate(node.body).scale(node.coeff)
+        return [iter((node.body,)), None, lambda _, body: body.scale(node.coeff)]
     raise TypeError(f"not an expression node: {node!r}")
+
+
+def evaluate(node: ExprNode) -> NormalPolynomial:
+    """Map an AST to its unique normally ordered polynomial.
+
+    Iterative, with an explicit stack of open nodes, so a tree of any depth
+    evaluates, however it was built.  Children are evaluated left to right
+    and each value is folded into its parent as soon as it is known, so the
+    products and sums happen in the order of a recursive left fold.
+    """
+    stack = [_open(node)]
+    while True:
+        frame = stack[-1]
+        child = next(frame[0], _END)
+        if child is not _END:
+            stack.append(_open(child))
+            continue
+        stack.pop()
+        if not stack:
+            return frame[1]
+        parent = stack[-1]
+        parent[1] = parent[2](parent[1], frame[1])
 
 
 # ---------------------------------------------------------------------------

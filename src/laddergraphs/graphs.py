@@ -44,13 +44,13 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import reduce
-from itertools import combinations, islice, permutations
+from itertools import combinations, islice, permutations, repeat
 from math import comb, factorial
 from operator import mul
 from typing import Callable, Iterable, Iterator
 
 from .ladder import NormalMonomial, NormalPolynomial, Word
-from .scalars import ONE, GaussianRational, LinearCombination, ScalarLike, accumulate
+from .scalars import ONE, LinearCombination, ScalarLike
 
 Matching = tuple[tuple[int, int], ...]  # (gray in-port of g1, white out-port of g2) pairs
 
@@ -113,11 +113,19 @@ class DiagGraph:
         return in_owner, out_owner
 
     def _validate(self) -> None:
+        for name in ("vertices", "edges", "dangling_in", "dangling_out"):
+            _check_tuple(getattr(self, name), name)
         for v in self.vertices:
-            _check_labels(v.in_ports)
-            _check_labels(v.out_ports)
-        for ports in (self.dangling_in, self.dangling_out, *self.edges):
-            _check_labels(ports)
+            if not isinstance(v, Vertex):
+                raise ValueError(f"a vertex must be a Vertex, got {v!r}")
+            _check_labels(_check_tuple(v.in_ports, "in_ports"))
+            _check_labels(_check_tuple(v.out_ports, "out_ports"))
+        for edge in self.edges:
+            if len(_check_tuple(edge, "an edge")) != 2:
+                raise ValueError(f"an edge is a pair of port labels, got {edge!r}")
+            _check_labels(edge)
+        _check_labels(self.dangling_in)
+        _check_labels(self.dangling_out)
         in_owner, out_owner = self.port_owners()
         labels = sorted(in_owner) + sorted(out_owner)
         if len(labels) != self.port_count or sorted(labels) != list(range(len(labels))):
@@ -172,6 +180,13 @@ class DiagGraph:
 
     def __str__(self) -> str:
         return canonical_encode(self).decode("ascii")
+
+
+def _check_tuple(value, what: str) -> tuple:
+    """Refuse a graph field that is not a tuple; return it unchanged."""
+    if not isinstance(value, tuple):
+        raise ValueError(f"{what} must be a tuple, got {value!r}")
+    return value
 
 
 def _check_labels(values) -> None:
@@ -328,6 +343,11 @@ def build_iteratively(steps: Iterable[tuple[int, int, int]]) -> DiagGraph:
 # Formal sums of graphs
 # ---------------------------------------------------------------------------
 
+def _weighted_compositions(g1: DiagGraph, g2: DiagGraph) -> Iterator[tuple[DiagGraph, int]]:
+    """Every composition of ``g1`` with ``g2``, each at weight 1."""
+    return zip(enumerate_compositions(g1, g2), repeat(1))
+
+
 class GraphSum(LinearCombination):
     """Finitely supported sum of labeled graphs with exact coefficients.
 
@@ -355,13 +375,7 @@ class GraphSum(LinearCombination):
         """Bilinear extension of composition enumeration; unit is the void graph."""
         if not isinstance(other, GraphSum):
             return NotImplemented
-        acc: dict[DiagGraph, GaussianRational] = {}
-        for g1, c1 in self._terms.items():
-            for g2, c2 in other._terms.items():
-                c12 = c1 * c2
-                for composed in enumerate_compositions(g1, g2):
-                    accumulate(acc, composed, c12)
-        return GraphSum._raw(acc)
+        return self._product(other, _weighted_compositions)
 
     def __repr__(self) -> str:
         if not self._terms:
@@ -409,13 +423,6 @@ def _json_labels(values) -> tuple[int, ...]:
     if not isinstance(values, (list, tuple)):
         raise ValueError(f"expected a list of port labels, got {values!r}")
     return tuple(values)
-
-
-def _json_edge(value) -> tuple[int, int]:
-    edge = _json_labels(value)
-    if len(edge) != 2:
-        raise ValueError(f"an edge is a pair of port labels, got {value!r}")
-    return edge
 
 
 def canonical_encode(g: DiagGraph) -> bytes:
@@ -496,7 +503,7 @@ def graph_from_json(obj: dict) -> DiagGraph:
                 Vertex(in_ports=_json_labels(v["in"]), out_ports=_json_labels(v["out"]))
                 for v in obj["vertices"]
             ),
-            edges=tuple(map(_json_edge, obj["edges"])),
+            edges=tuple(map(_json_labels, obj["edges"])),
             dangling_in=_json_labels(obj["dangling_in"]),
             dangling_out=_json_labels(obj["dangling_out"]),
         )

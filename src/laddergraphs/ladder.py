@@ -12,7 +12,9 @@ which is the closed form of repeatedly commuting a lowering operator past a
 raising one with commutator equal to the identity.  Polynomials are finitely
 supported sums of basis elements with :class:`GaussianRational` coefficients,
 built on the sparse linear-combination core of :mod:`laddergraphs.scalars`
-(:class:`LinearCombination` and :func:`accumulate`); all arithmetic is exact.
+(:class:`LinearCombination` and :func:`accumulate`); their product is the
+core's bilinear product with the cached closed form above as its basis
+product.  All arithmetic is exact.
 
 Free (unordered) words in the two generators are normalized by two
 independent strategies, a rewrite engine and a fold over basis products,
@@ -104,13 +106,7 @@ class NormalPolynomial(LinearCombination):
         """Bilinear extension of the basis product; noncommutative."""
         if not isinstance(other, NormalPolynomial):
             return NotImplemented
-        acc: dict[NormalMonomial, GaussianRational] = {}
-        for m1, c1 in self._terms.items():
-            for m2, c2 in other._terms.items():
-                c12 = c1 * c2
-                for mono, weight in _basis_product(m1.r, m1.s, m2.r, m2.s):
-                    accumulate(acc, mono, c12 * weight)
-        return NormalPolynomial._raw(acc)
+        return self._product(other, _monomial_product)
 
     def __pow__(self, n: int) -> "NormalPolynomial":
         if not isinstance(n, int) or n < 0:
@@ -170,6 +166,10 @@ def _basis_product(r: int, s: int, k: int, l: int) -> tuple[tuple[NormalMonomial
     )
 
 
+def _monomial_product(m1: NormalMonomial, m2: NormalMonomial):
+    return _basis_product(m1.r, m1.s, m2.r, m2.s)
+
+
 def multiply_monomials(m1: MonomialLike, m2: MonomialLike) -> NormalPolynomial:
     """Closed-form product of two basis elements.
 
@@ -227,12 +227,7 @@ def word_from_str(text: str) -> Word:
     return tuple(Letter.from_token(t) for t in text.split())
 
 
-def _leftmost_inversion(word: Word) -> int:
-    """Index of the leftmost lowering-then-raising adjacent pair, or -1."""
-    for i in range(len(word) - 1):
-        if word[i] is Letter.ANNIHILATOR and word[i + 1] is Letter.CREATOR:
-            return i
-    return -1
+_SPELLING = {Letter.ANNIHILATOR: "a", Letter.CREATOR: "d"}
 
 
 def normal_order_rewrite(word: Word) -> NormalPolynomial:
@@ -241,25 +236,28 @@ def normal_order_rewrite(word: Word) -> NormalPolynomial:
     One rewrite replaces the leftmost (lowering, raising) pair of a word by
     the swapped pair plus the word with the pair deleted.  Each step strictly
     reduces (inversions, length) lexicographically, so the loop terminates;
-    uniqueness of the normal form makes the rewrite order irrelevant.
+    uniqueness of the normal form makes the rewrite order irrelevant.  Words
+    are spelled as strings, ``"a"`` for lowering and ``"d"`` for raising, so
+    the leftmost inversion is the leftmost ``"ad"``.  An element that is not
+    a :class:`Letter` raises ``TypeError``.
     """
-    pending: dict[Word, int] = {tuple(word): 1}
-    result: dict[NormalMonomial, int] = {}
+    try:
+        spelled = "".join([_SPELLING[letter] for letter in word])
+    except (KeyError, TypeError):
+        raise TypeError(f"a word is a sequence of Letter members, got {word!r}") from None
+    pending: dict[str, int] = {spelled: 1}
+    normal: dict[str, int] = {}
     while pending:
         w, c = pending.popitem()
-        i = _leftmost_inversion(w)
+        i = w.find("ad")
         if i < 0:
-            mono = NormalMonomial(
-                sum(1 for x in w if x is Letter.CREATOR),
-                sum(1 for x in w if x is Letter.ANNIHILATOR),
-            )
-            accumulate(result, mono, c)
+            accumulate(normal, w, c)
             continue
-        swapped = w[:i] + (Letter.CREATOR, Letter.ANNIHILATOR) + w[i + 2:]
-        deleted = w[:i] + w[i + 2:]
-        accumulate(pending, swapped, c)
-        accumulate(pending, deleted, c)
-    return NormalPolynomial(result)
+        accumulate(pending, w[:i] + "da" + w[i + 2:], c)
+        accumulate(pending, w[:i] + w[i + 2:], c)
+    return NormalPolynomial(
+        (NormalMonomial(w.count("d"), w.count("a")), c) for w, c in normal.items()
+    )
 
 
 def normal_order_fold(word: Word) -> NormalPolynomial:

@@ -15,14 +15,17 @@ always exact.
 :class:`LinearCombination` is the one sparse core both algebras share: a
 finitely supported map from basis keys to nonzero coefficients, kept pruned
 by :func:`accumulate`.  Normally ordered polynomials and formal sums of
-graphs differ only in their basis.
+graphs differ only in their basis, and both multiply through the core's one
+bilinear product, ``LinearCombination._product``.  It works on the stored
+parts of the coefficients, so a product builds one :class:`GaussianRational`
+per result term rather than several per basis term it forms.
 """
 
 from __future__ import annotations
 
 import re as _regex
 from fractions import Fraction
-from typing import Hashable, Iterable, Iterator, Mapping
+from typing import Callable, Hashable, Iterable, Iterator, Mapping
 
 RationalLike = int | Fraction
 ScalarLike = "int | Fraction | GaussianRational"
@@ -262,8 +265,9 @@ class LinearCombination:
     Zero coefficients are pruned on construction and by every operation, so
     two equal sums always have identical term maps.  A subclass fixes its
     basis: ``_key`` normalizes a key on the way in, ``_sort_key`` orders
-    :meth:`terms`, and the subclass supplies its own product.  Sums over
-    different bases never combine or compare equal.
+    :meth:`terms`, and the subclass's ``__mul__`` passes its basis product
+    to :meth:`_product`.  Sums over different bases never combine or compare
+    equal.
     """
 
     __slots__ = ("_terms",)
@@ -324,6 +328,38 @@ class LinearCombination:
         if not isinstance(other, type(self)):
             return NotImplemented
         return self + (-other)
+
+    def _product(self, other, expand: Callable[[Hashable, Hashable], Iterable[tuple]]):
+        """The bilinear product whose basis product is ``expand``.
+
+        ``expand(k1, k2)`` yields ``(key, weight)`` pairs with ``int``
+        weights.  Each coefficient pair is multiplied once, on the stored
+        parts, and each key's real and imaginary sums are kept as raw parts;
+        a key whose sum is nonzero is wrapped once, at the end.  The only
+        product loop in the package.
+        """
+        sums: dict = {}
+        for k1, c1 in self._terms.items():
+            a, b = c1._re, c1._im
+            for k2, c2 in other._terms.items():
+                c, d = c2._re, c2._im
+                re, im = a * c - b * d, a * d + b * c
+                # An integral pair product goes on as an int, so its weighted
+                # terms and their sums stay off Fraction.
+                if type(re) is not int:
+                    re = _integral(re)
+                if type(im) is not int:
+                    im = _integral(im)
+                for key, weight in expand(k1, k2):
+                    total = sums.get(key)
+                    if total is None:
+                        sums[key] = [re * weight, im * weight]
+                    else:
+                        total[0] += re * weight
+                        total[1] += im * weight
+        raw = GaussianRational._raw
+        return self._raw({key: raw(_integral(re), _integral(im))
+                          for key, (re, im) in sums.items() if re or im})
 
     def scale(self, c: "ScalarLike"):
         c = GaussianRational.coerce(c)

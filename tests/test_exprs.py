@@ -170,6 +170,24 @@ def test_evaluate_respects_products_and_sums():
 def test_evaluate_rejects_foreign_objects():
     with pytest.raises(TypeError):
         evaluate("a ad")  # type: ignore[arg-type]
+    with pytest.raises(TypeError):
+        evaluate(ProductExpr((A, None)))  # type: ignore[arg-type]
+
+
+def test_evaluate_hand_built_deep_tree():
+    # Deeper than Python's recursion limit; parse never builds this.
+    n = LetterExpr(Letter.ANNIHILATOR)
+    for _ in range(2000):
+        n = ProductExpr((n, LetterExpr(Letter.ANNIHILATOR)))
+    assert evaluate(n) == NormalPolynomial.monomial((0, 2001))
+    # Every node kind, nested 2000 levels: each level maps p to 2 (p 1)^1 - a,
+    # which keeps p = a.
+    two, minus_one = GaussianRational(2), GaussianRational(-1)
+    m = A
+    for _ in range(2000):
+        m = SumExpr((ScaledExpr(two, PowerExpr(ProductExpr((m, IdentityExpr())), 1)),
+                     ScaledExpr(minus_one, A)))
+    assert evaluate(m) == NormalPolynomial.monomial((0, 1))
 
 
 # -- canonical formatting ----------------------------------------------------------------

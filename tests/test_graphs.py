@@ -2,6 +2,7 @@ import dataclasses
 import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -30,6 +31,7 @@ from laddergraphs.graphs import (
 )
 from laddergraphs.ladder import NormalMonomial, NormalPolynomial, multiply_monomials, word_from_str
 from laddergraphs.oracles import random_graph
+from laddergraphs.scalars import GaussianRational
 from test_scalars import json_values
 
 
@@ -110,6 +112,41 @@ def test_validation_rejects_non_integer_labels(label):
         DiagGraph(vertices=(Vertex((1,), (0,)),), dangling_in=(label,), dangling_out=(0,))
     ok = DiagGraph(vertices=two, edges=((2, 1),), dangling_in=(3,), dangling_out=(0,))
     assert canonical_encode(ok) == b"V:0/1;2/3|E:2>1|I:3|O:0"
+
+
+WRONGLY_TYPED_FIELDS = [
+    {"edges": (5,)},
+    {"dangling_in": None},
+    {"vertices": (5,)},
+    {"vertices": [Vertex((), (0,))], "dangling_out": (0,)},
+    {"vertices": (Vertex(5, ()),)},
+    {"vertices": (Vertex([0], ()),), "dangling_in": (0,)},
+    {"vertices": (Vertex((1,), (0,)),), "edges": ((0, 1, 2),)},
+    {"vertices": (Vertex((1,), (0,)),), "edges": ([0, 1],)},
+    {"vertices": (Vertex((1,), (0,)),), "dangling_in": [1], "dangling_out": (0,)},
+]
+
+
+@pytest.mark.parametrize("fields", WRONGLY_TYPED_FIELDS)
+def test_constructor_refuses_wrongly_typed_fields(fields):
+    with pytest.raises(ValueError):
+        DiagGraph(**fields)
+
+
+def test_constructor_refuses_wrongly_typed_fields_in_optimized_mode():
+    code = (
+        "from laddergraphs.graphs import DiagGraph\n"
+        "for fields in ({'edges': (5,)}, {'dangling_in': None}, {'vertices': (5,)}):\n"
+        "    try:\n"
+        "        DiagGraph(**fields)\n"
+        "    except ValueError:\n"
+        "        print('refused')\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "refused\n" * 3
 
 
 def test_constructor_refuses_non_integer_labels_in_optimized_mode():
@@ -312,6 +349,24 @@ def test_graph_sum_linearity():
     assert a.scale(0).is_zero()
     combined = (a + b) * (a + b)
     assert combined == a * a + a * b + b * a + b * b
+
+
+def test_graph_sum_product_with_exact_complex_coefficients():
+    c = [GaussianRational(Fraction(1, 2), Fraction(1, 3)), GaussianRational(Fraction(-2, 3), 5),
+         GaussianRational(0, Fraction(-2, 5)), GaussianRational(Fraction(3, 4))]
+    specs = [(1, 2), (2, 1), (0, 1), (2, 2)]
+    left = GraphSum([(make_vertex(*specs[0]), c[0]), (make_vertex(*specs[1]), c[1])])
+    right = GraphSum([(make_vertex(*specs[2]), c[2]), (make_vertex(*specs[3]), c[3])])
+    expected = NormalPolynomial.zero()
+    for i in (0, 1):
+        for j in (2, 3):
+            expected += multiply_monomials(specs[i], specs[j]).scale(c[i] * c[j])
+    product = left * right
+    assert project_sum(product) == expected
+    assert len(product) == sum(count_matchings(s1, r2) for _, s1 in specs[:2] for r2, _ in specs[2:])
+    for coeff in product._terms.values():
+        for part in (coeff._re, coeff._im):
+            assert type(part) is int or part.denominator != 1
 
 
 def test_graph_sum_cancellation_prunes():

@@ -21,7 +21,7 @@ from laddergraphs.ladder import (
     word_from_str,
 )
 from laddergraphs.scalars import GaussianRational
-from test_scalars import json_values, scalar_records
+from test_scalars import json_values, m_add, m_mul, model_pairs, scalar_records
 
 monomials = st.builds(NormalMonomial, st.integers(0, 4), st.integers(0, 4))
 coeffs = st.builds(
@@ -107,6 +107,78 @@ def test_multiplication_is_associative_and_distributive(p, q, r):
     assert (p * q) * r == p * (q * r)
     assert p * (q + r) == p * q + p * r
     assert (p + q) * r == p * r + q * r
+
+
+# -- the product against a model ---------------------------------------------------
+# The model multiplies dicts of (re, im) Fraction pairs term by term and takes
+# each basis product from the brute-force string rewriter of reference.py.
+
+model_polys = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)), model_pairs, max_size=4
+)
+
+
+def model_product(p: dict, q: dict) -> dict:
+    acc: dict = {}
+    for (r, s), x in p.items():
+        for (k, l), y in q.items():
+            z = m_mul(x, y)
+            word = "A" * r + "a" * s + "A" * k + "a" * l
+            for mono, weight in reference.normal_order_string(word).items():
+                acc[mono] = m_add(acc.get(mono, (0, 0)), (z[0] * weight, z[1] * weight))
+    return {mono: c for mono, c in acc.items() if any(c)}
+
+
+def assert_stored_form(p: NormalPolynomial) -> None:
+    """Every part of every coefficient is an ``int`` exactly when it is integral."""
+    for c in p._terms.values():
+        assert c
+        for part in (c._re, c._im):
+            assert type(part) is int or part.denominator != 1
+
+
+@given(model_polys, model_polys)
+@settings(deadline=None)
+def test_product_matches_two_fraction_model(p, q):
+    product = (NormalPolynomial({m: GaussianRational(*c) for m, c in p.items()})
+               * NormalPolynomial({m: GaussianRational(*c) for m, c in q.items()}))
+    expected = model_product(
+        {m: (Fraction(x), Fraction(y)) for m, (x, y) in p.items()},
+        {m: (Fraction(x), Fraction(y)) for m, (x, y) in q.items()},
+    )
+    assert {(m.r, m.s): (c.re, c.im) for m, c in product._terms.items()} == expected
+    assert_stored_form(product)
+
+
+def test_product_stores_integral_parts_as_int():
+    half_a = NormalPolynomial.monomial(LOWER, Fraction(1, 2))
+    two_ad = NormalPolynomial.monomial(RAISE, 2)
+    product = half_a * two_ad
+    assert product == as_poly({(1, 1): 1, (0, 0): 1})
+    assert_stored_form(product)
+    # 1/3 and 2/3 meet only in the sum for ad a.
+    p = NormalPolynomial({(1, 0): Fraction(1, 3), (0, 1): Fraction(2, 3)})
+    q = NormalPolynomial({(1, 0): 1, (0, 1): 1})
+    product = p * q
+    assert type(product.coefficient((1, 1))._re) is int
+    assert product == NormalPolynomial(
+        {(2, 0): Fraction(1, 3), (1, 1): 1, (0, 2): Fraction(2, 3), (0, 0): Fraction(2, 3)}
+    )
+    assert_stored_form(product)
+
+
+def test_product_prunes_cancelled_terms():
+    # (a + ad)(a - ad) = a^2 - ad^2 - 1: the two ad a terms cancel.
+    product = NormalPolynomial({(0, 1): 1, (1, 0): 1}) * NormalPolynomial({(0, 1): 1, (1, 0): -1})
+    assert product == NormalPolynomial({(0, 2): 1, (2, 0): -1, (0, 0): -1})
+    assert len(product) == 3 and NormalMonomial(1, 1) not in product._terms
+    c = GaussianRational(Fraction(1, 2), 3)
+    p = NormalPolynomial({(0, 1): c, (1, 0): -c})
+    assert len(p * NormalPolynomial.zero()) == 0
+    assert len(NormalPolynomial.zero() * p) == 0
+    # A basis product that sends every pair to one key: the sum cancels to 0.
+    collapsed = p._product(NormalPolynomial.one(), lambda m1, m2: [(IDENTITY, 1)])
+    assert len(collapsed) == 0 and not collapsed
 
 
 @given(polys)
@@ -249,6 +321,14 @@ def test_rewrite_and_fold_strategies_agree(word):
 def test_normal_order_against_string_rewriter(word):
     text = "".join("a" if x is Letter.ANNIHILATOR else "A" for x in word)
     assert normal_order_word(word) == as_poly(reference.normal_order_string(text))
+
+
+@pytest.mark.parametrize(
+    "word", [(Letter.ANNIHILATOR, "x", Letter.CREATOR), ("a",), "aad", (None,), ([],)]
+)
+def test_rewrite_refuses_non_letters(word):
+    with pytest.raises(TypeError):
+        normal_order_rewrite(word)
 
 
 def test_stirling_diagonal():
