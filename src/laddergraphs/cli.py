@@ -20,6 +20,7 @@ import argparse
 import json
 import os
 import sys
+from collections import Counter
 
 from .exprs import ParseError, evaluate, format_polynomial, parse
 from .graphs import (
@@ -84,20 +85,17 @@ def _cmd_compose(args: argparse.Namespace) -> int:
     left = make_vertex(args.r, args.s)
     right = make_vertex(args.k, args.l)
     compositions = enumerate_compositions(left, right)
-    # All compositions with i joined lines project to the same monomial.
-    classes: dict[int, list] = {}
-    for g in compositions:
-        entry = classes.setdefault(len(g.edges), [0, project(g)])
-        entry[0] += 1
-    projection = NormalPolynomial((project(g), 1) for g in compositions)
+    counts = Counter(map(project, compositions))
+    projection = NormalPolynomial(counts.items())
+    # The compositions with i joined lines are those that project to (r+k-i, s+l-i).
+    classes = sorted((args.r + args.k - mono.r, count, mono) for mono, count in counts.items())
     if args.json:
         _print_json({
             "left": {"r": args.r, "s": args.s},
             "right": {"r": args.k, "s": args.l},
             "count": len(compositions),
             "classes": [
-                {"i": i, "count": classes[i][0], "r": classes[i][1].r, "s": classes[i][1].s}
-                for i in sorted(classes)
+                {"i": i, "count": count, "r": mono.r, "s": mono.s} for i, count, mono in classes
             ],
             "graphs": [str(g) for g in compositions],
             "projection": projection.to_json(),
@@ -105,8 +103,7 @@ def _cmd_compose(args: argparse.Namespace) -> int:
     else:
         n = len(compositions)
         print(f"({args.r},{args.s}) o ({args.k},{args.l}): {n} composition{'' if n == 1 else 's'}")
-        for i in sorted(classes):
-            count, mono = classes[i]
+        for i, count, mono in classes:
             print(f"i={i}: {count} -> ({mono.r},{mono.s})")
         print(f"projection: {format_polynomial(projection)}")
     if args.dot is not None:

@@ -25,12 +25,11 @@ See GRAMMAR.md at the repository root for the frozen contract.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, mul
 
 from .ladder import Letter, NormalMonomial, NormalPolynomial
-from .scalars import GaussianRational
+from .scalars import GaussianRational, Record
 
 
 class ParseError(Exception):
@@ -46,54 +45,55 @@ class ParseError(Exception):
 # Abstract syntax
 # ---------------------------------------------------------------------------
 
-class ExprNode:
+class ExprNode(Record):
     """Base class for expression AST nodes."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
 class IdentityExpr(ExprNode):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
 class LetterExpr(ExprNode):
-    letter: Letter
+    __slots__ = __match_args__ = ("letter",)
+
+    def __init__(self, letter: Letter):
+        self._fill(letter)
 
 
-@dataclass(frozen=True, slots=True)
 class PowerExpr(ExprNode):
-    base: ExprNode
-    exponent: int
+    __slots__ = __match_args__ = ("base", "exponent")
 
-    def __post_init__(self) -> None:
-        if self.exponent < 0:
+    def __init__(self, base: ExprNode, exponent: int):
+        if exponent < 0:
             raise ValueError("power exponent must be nonnegative")
+        self._fill(base, exponent)
 
 
-@dataclass(frozen=True, slots=True)
 class ProductExpr(ExprNode):
-    factors: tuple[ExprNode, ...]
+    __slots__ = __match_args__ = ("factors",)
 
-    def __post_init__(self) -> None:
-        if not self.factors:
+    def __init__(self, factors: tuple[ExprNode, ...]):
+        if not factors:
             raise ValueError("product needs at least one factor")
+        self._fill(factors)
 
 
-@dataclass(frozen=True, slots=True)
 class SumExpr(ExprNode):
-    terms: tuple[ExprNode, ...]
+    __slots__ = __match_args__ = ("terms",)
 
-    def __post_init__(self) -> None:
-        if not self.terms:
+    def __init__(self, terms: tuple[ExprNode, ...]):
+        if not terms:
             raise ValueError("sum needs at least one term")
+        self._fill(terms)
 
 
-@dataclass(frozen=True, slots=True)
 class ScaledExpr(ExprNode):
-    coeff: GaussianRational
-    body: ExprNode
+    __slots__ = __match_args__ = ("coeff", "body")
+
+    def __init__(self, coeff: GaussianRational, body: ExprNode):
+        self._fill(coeff, body)
 
 
 def power(base: ExprNode, exponent: int) -> ExprNode:
@@ -125,11 +125,12 @@ def sum_of(terms: list[ExprNode]) -> ExprNode:
 # Lexer
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
-class _Token:
-    kind: str  # 'int', 'a', 'ad', 'i', '^', '+', '-', '/', '(', ')', 'end'
-    lexeme: str
-    pos: int
+class _Token(Record):
+    __slots__ = __match_args__ = ("kind", "lexeme", "pos")
+
+    def __init__(self, kind: str, lexeme: str, pos: int):
+        # kind: 'int', 'a', 'ad', 'i', '^', '+', '-', '/', '(', ')', 'end'
+        self._fill(kind, lexeme, pos)
 
 
 _PUNCT = set("^+-/()")

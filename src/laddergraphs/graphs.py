@@ -42,7 +42,6 @@ pair, not once per matching.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations, islice, permutations, repeat
 from math import comb, factorial
@@ -50,21 +49,29 @@ from operator import mul
 from typing import Callable, Iterable, Iterator
 
 from .ladder import NormalMonomial, NormalPolynomial, Word
-from .scalars import ONE, LinearCombination, ScalarLike
+from .scalars import ONE, LinearCombination, Record, ScalarLike
 
 Matching = tuple[tuple[int, int], ...]  # (gray in-port of g1, white out-port of g2) pairs
 
 
-@dataclass(frozen=True, slots=True)
-class Vertex:
+class Vertex(Record):
     """One vertex: ordered in-port labels and ordered out-port labels."""
 
-    in_ports: tuple[int, ...]
-    out_ports: tuple[int, ...]
+    __slots__ = __match_args__ = ("in_ports", "out_ports")
+
+    def __init__(self, in_ports: tuple[int, ...], out_ports: tuple[int, ...]):
+        self._fill(in_ports, out_ports)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.in_ports == other.in_ports and self.out_ports == other.out_ports
+
+    def __hash__(self) -> int:
+        return hash((self.in_ports, self.out_ports))
 
 
-@dataclass(frozen=True, slots=True)
-class DiagGraph:
+class DiagGraph(Record):
     """Immutable labeled graph; equality is labeled-structure equality.
 
     ``edges`` are (out-port, in-port) pairs, stored sorted.  ``dangling_in``
@@ -74,26 +81,46 @@ class DiagGraph:
     Calling the class validates its arguments, the path for external input:
     it raises ``ValueError`` when the labels, edges or dangling lists do not
     form a valid acyclic graph.  The package's own constructions, valid by
-    construction, use :meth:`_trusted` instead.
+    construction, use :meth:`_trusted` instead.  The hash is cached on first
+    use in ``_hash``, a slot that is not a field.
     """
 
-    vertices: tuple[Vertex, ...] = ()
-    edges: tuple[tuple[int, int], ...] = ()
-    dangling_in: tuple[int, ...] = ()
-    dangling_out: tuple[int, ...] = ()
+    __slots__ = ("vertices", "edges", "dangling_in", "dangling_out", "_hash")
+    __match_args__ = ("vertices", "edges", "dangling_in", "dangling_out")
+
+    def __init__(self, vertices: tuple[Vertex, ...] = (), edges: tuple[tuple[int, int], ...] = (),
+                 dangling_in: tuple[int, ...] = (), dangling_out: tuple[int, ...] = ()):
+        self._fill(vertices, edges, dangling_in, dangling_out)
+        _set_hash(self, None)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
+        # The constructor's validation hook; perfbench/tracing.py wraps it by name.
         self._validate()
 
     @classmethod
     def _trusted(cls, vertices, edges, dangling_in, dangling_out) -> "DiagGraph":
         """A graph from fields the caller guarantees valid; nothing is checked."""
-        graph = object.__new__(cls)
-        object.__setattr__(graph, "vertices", vertices)
-        object.__setattr__(graph, "edges", edges)
-        object.__setattr__(graph, "dangling_in", dangling_in)
-        object.__setattr__(graph, "dangling_out", dangling_out)
+        graph = _new(cls)
+        _set_vertices(graph, vertices)
+        _set_edges(graph, edges)
+        _set_dangling_in(graph, dangling_in)
+        _set_dangling_out(graph, dangling_out)
+        _set_hash(graph, None)
         return graph
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.vertices, self.edges, self.dangling_in, self.dangling_out) == (
+            other.vertices, other.edges, other.dangling_in, other.dangling_out)
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = hash((self.vertices, self.edges, self.dangling_in, self.dangling_out))
+            _set_hash(self, h)
+        return h
 
     # -- structure ----------------------------------------------------------
 
@@ -113,7 +140,7 @@ class DiagGraph:
         return in_owner, out_owner
 
     def _validate(self) -> None:
-        for name in ("vertices", "edges", "dangling_in", "dangling_out"):
+        for name in self.__match_args__:
             _check_tuple(getattr(self, name), name)
         for v in self.vertices:
             if not isinstance(v, Vertex):
@@ -180,6 +207,11 @@ class DiagGraph:
 
     def __str__(self) -> str:
         return canonical_encode(self).decode("ascii")
+
+
+_new = object.__new__
+_set_vertices, _set_edges, _set_dangling_in, _set_dangling_out, _set_hash = (
+    getattr(DiagGraph, name).__set__ for name in DiagGraph.__slots__)
 
 
 def _check_tuple(value, what: str) -> tuple:

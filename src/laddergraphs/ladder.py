@@ -23,29 +23,36 @@ which are cross-checked against each other in :func:`normal_order_word`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import cache, reduce
 from math import comb, factorial
 from operator import mul
 
-from .scalars import ONE, GaussianRational, LinearCombination, ScalarLike, accumulate
+from .scalars import ONE, GaussianRational, LinearCombination, Record, ScalarLike, accumulate
 
 MonomialLike = "NormalMonomial | tuple[int, int]"
 
 
-@dataclass(frozen=True, slots=True)
-class NormalMonomial:
+class NormalMonomial(Record):
     """Basis element with ``r`` raising and ``s`` lowering factors."""
 
-    r: int
-    s: int
+    __slots__ = __match_args__ = ("r", "s")
 
-    def __post_init__(self) -> None:
-        if not (isinstance(self.r, int) and isinstance(self.s, int)):
+    def __init__(self, r: int, s: int):
+        if not (isinstance(r, int) and isinstance(s, int)):
             raise TypeError("monomial exponents must be integers")
-        if self.r < 0 or self.s < 0:
-            raise ValueError(f"monomial exponents must be nonnegative, got {(self.r, self.s)}")
+        if r < 0 or s < 0:
+            raise ValueError(f"monomial exponents must be nonnegative, got {(r, s)}")
+        _set_r(self, r)
+        _set_s(self, s)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.r == other.r and self.s == other.s
+
+    def __hash__(self) -> int:
+        return hash((self.r, self.s))
 
     @property
     def degree(self) -> int:
@@ -54,6 +61,8 @@ class NormalMonomial:
     def is_identity(self) -> bool:
         return self.r == 0 and self.s == 0
 
+
+_set_r, _set_s = NormalMonomial.r.__set__, NormalMonomial.s.__set__
 
 IDENTITY = NormalMonomial(0, 0)
 LOWER = NormalMonomial(0, 1)

@@ -16,7 +16,7 @@ The checks either all pass or the report carries one line per counterexample.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from collections import Counter
 from itertools import islice
 
 from .exprs import format_polynomial
@@ -42,18 +42,20 @@ from .ladder import (
     normal_order_fold,
     normal_order_rewrite,
 )
+from .scalars import Record
 
 _LETTERS = (Letter.ANNIHILATOR, Letter.CREATOR)
 
 
-@dataclass(frozen=True)
-class OracleReport:
+class OracleReport(Record):
     """Outcome of one oracle run; ``failures`` holds counterexample lines."""
 
-    products_checked: int
-    words_checked: int
-    graph_pairs_checked: int
-    failures: tuple[str, ...] = field(default=())
+    __slots__ = __match_args__ = (
+        "products_checked", "words_checked", "graph_pairs_checked", "failures")
+
+    def __init__(self, products_checked: int, words_checked: int,
+                 graph_pairs_checked: int, failures: tuple[str, ...] = ()):
+        self._fill(products_checked, words_checked, graph_pairs_checked, failures)
 
     @property
     def passed(self) -> bool:
@@ -149,7 +151,7 @@ def run_oracle_checks(
                         )
                     if len(set(compositions)) != len(compositions):
                         failures.append(f"duplicate compositions for ({r},{s})x({k},{l})")
-                    projected = NormalPolynomial((project(g), 1) for g in compositions)
+                    projected = NormalPolynomial(Counter(map(project, compositions)).items())
                     if projected != formula:
                         # name the summand: term (r+k-i, s+l-i) pins down i
                         top = (formula - projected).monomials()[0]

@@ -19,6 +19,9 @@ graphs differ only in their basis, and both multiply through the core's one
 bilinear product, ``LinearCombination._product``.  It works on the stored
 parts of the coefficients, so a product builds one :class:`GaussianRational`
 per result term rather than several per basis term it forms.
+
+:class:`Record` is the base of the package's small immutable values:
+scalars, monomials, vertices, graphs, expression nodes and oracle reports.
 """
 
 from __future__ import annotations
@@ -56,7 +59,47 @@ def _json_int(value) -> int:
     raise ValueError(f"expected an integer or a decimal-integer string, got {value!r}")
 
 
-class GaussianRational:
+class Record:
+    """Immutable value with fields ``__match_args__``, stored in ``__slots__``.
+
+    Equal only to records of its own class with equal fields; hashed,
+    pickled and copied as its field tuple; printed as ``Name(field=value)``.
+    Hot classes override ``__eq__`` and ``__hash__`` with ones that name
+    their fields; :class:`GaussianRational` overrides them to equal numbers.
+    """
+
+    __slots__ = ()
+    __match_args__: tuple[str, ...] = ()
+
+    def _fill(self, *values) -> None:
+        for name, value in zip(self.__match_args__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__match_args__])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"{self.__class__.__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+
+class GaussianRational(Record):
     """A complex number a + b*i with exact rational a and b.
 
     Immutable.  A part is stored as an ``int`` when integral and otherwise as
@@ -64,7 +107,7 @@ class GaussianRational:
     equality is semantic equality.
     """
 
-    __slots__ = ("_re", "_im")
+    __slots__ = __match_args__ = ("_re", "_im")
 
     def __init__(self, re: RationalLike = 0, im: RationalLike = 0):
         _set_re(self, _as_part(re))
@@ -77,14 +120,6 @@ class GaussianRational:
         _set_re(obj, re)
         _set_im(obj, im)
         return obj
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GaussianRational is immutable")
-
-    __delattr__ = __setattr__
-
-    def __reduce__(self):
-        return GaussianRational, (self._re, self._im)
 
     @property
     def re(self) -> Fraction:

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 import subprocess
 import sys
@@ -221,7 +220,8 @@ def test_compositions_equal_their_validated_rebuild(steps1, steps2):
     comps = enumerate_compositions(g1, g2)
     assert len(comps) == count_matchings(len(g1.dangling_in), len(g2.dangling_out))
     for g in comps:
-        rebuilt = DiagGraph(**{f.name: getattr(g, f.name) for f in dataclasses.fields(g)})
+        rebuilt = DiagGraph(vertices=g.vertices, edges=g.edges,
+                            dangling_in=g.dangling_in, dangling_out=g.dangling_out)
         assert rebuilt == g and hash(rebuilt) == hash(g)
         blob = canonical_encode(g)
         decoded = canonical_decode(blob)
