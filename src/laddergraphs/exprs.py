@@ -405,7 +405,7 @@ def _monomial_str(m: NormalMonomial) -> str:
 
 
 def _positive_leading(c: GaussianRational) -> bool:
-    return c.re > 0 or (c.re == 0 and c.im > 0)
+    return c._re > 0 or (not c._re and c._im > 0)
 
 
 def format_polynomial(p: NormalPolynomial) -> str:

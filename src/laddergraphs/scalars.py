@@ -16,9 +16,10 @@ always exact.
 finitely supported map from basis keys to nonzero coefficients, kept pruned
 by :func:`accumulate`.  Normally ordered polynomials and formal sums of
 graphs differ only in their basis, and both multiply through the core's one
-bilinear product, ``LinearCombination._product``.  It works on the stored
-parts of the coefficients, so a product builds one :class:`GaussianRational`
-per result term rather than several per basis term it forms.
+bilinear product, ``LinearCombination._product``.  It puts each operand over
+one common denominator and runs on the ``int`` numerators, so a product
+divides once and builds one :class:`GaussianRational` per result term rather
+than several ``Fraction`` values per basis term it forms.
 
 :class:`Record` is the base of the package's small immutable values:
 scalars, monomials, vertices, graphs, expression nodes and oracle reports.
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 import re as _regex
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Hashable, Iterable, Iterator, Mapping
 
 RationalLike = int | Fraction
@@ -294,6 +296,14 @@ def accumulate(acc: dict, key: Hashable, coeff) -> None:
         acc.pop(key, None)
 
 
+def _integer_numerators(terms: dict) -> tuple[int, list[tuple]]:
+    """``(D, [(key, D*re, D*im), ...])``: the terms over their least common denominator."""
+    coeffs = terms.values()
+    den = lcm(*{c._re.denominator for c in coeffs}, *{c._im.denominator for c in coeffs})
+    return den, [(key, c._re.numerator * (den // c._re.denominator),
+                  c._im.numerator * (den // c._im.denominator)) for key, c in terms.items()]
+
+
 class LinearCombination:
     """Immutable finitely supported sum of basis keys with exact coefficients.
 
@@ -368,23 +378,18 @@ class LinearCombination:
         """The bilinear product whose basis product is ``expand``.
 
         ``expand(k1, k2)`` yields ``(key, weight)`` pairs with ``int``
-        weights.  Each coefficient pair is multiplied once, on the stored
-        parts, and each key's real and imaginary sums are kept as raw parts;
-        a key whose sum is nonzero is wrapped once, at the end.  The only
-        product loop in the package.
+        weights.  Each operand is put over one common denominator, so the
+        coefficient pairs, the weighted terms and each key's real and
+        imaginary sums are all plain ``int`` numerators; a key whose sum is
+        nonzero is divided by the two denominators' product and wrapped once,
+        at the end.  The only product loop in the package.
         """
+        den1, left = _integer_numerators(self._terms)
+        den2, right = _integer_numerators(other._terms)
         sums: dict = {}
-        for k1, c1 in self._terms.items():
-            a, b = c1._re, c1._im
-            for k2, c2 in other._terms.items():
-                c, d = c2._re, c2._im
+        for k1, a, b in left:
+            for k2, c, d in right:
                 re, im = a * c - b * d, a * d + b * c
-                # An integral pair product goes on as an int, so its weighted
-                # terms and their sums stay off Fraction.
-                if type(re) is not int:
-                    re = _integral(re)
-                if type(im) is not int:
-                    im = _integral(im)
                 for key, weight in expand(k1, k2):
                     total = sums.get(key)
                     if total is None:
@@ -392,8 +397,10 @@ class LinearCombination:
                     else:
                         total[0] += re * weight
                         total[1] += im * weight
-        raw = GaussianRational._raw
-        return self._raw({key: raw(_integral(re), _integral(im))
+        raw, den = GaussianRational._raw, den1 * den2
+        if den == 1:
+            return self._raw({key: raw(re, im) for key, (re, im) in sums.items() if re or im})
+        return self._raw({key: raw(_integral(Fraction(re, den)), _integral(Fraction(im, den)))
                           for key, (re, im) in sums.items() if re or im})
 
     def scale(self, c: "ScalarLike"):

@@ -352,21 +352,24 @@ def test_graph_sum_linearity():
 
 
 def test_graph_sum_product_with_exact_complex_coefficients():
-    c = [GaussianRational(Fraction(1, 2), Fraction(1, 3)), GaussianRational(Fraction(-2, 3), 5),
-         GaussianRational(0, Fraction(-2, 5)), GaussianRational(Fraction(3, 4))]
     specs = [(1, 2), (2, 1), (0, 1), (2, 2)]
-    left = GraphSum([(make_vertex(*specs[0]), c[0]), (make_vertex(*specs[1]), c[1])])
-    right = GraphSum([(make_vertex(*specs[2]), c[2]), (make_vertex(*specs[3]), c[3])])
-    expected = NormalPolynomial.zero()
-    for i in (0, 1):
-        for j in (2, 3):
-            expected += multiply_monomials(specs[i], specs[j]).scale(c[i] * c[j])
-    product = left * right
-    assert project_sum(product) == expected
-    assert len(product) == sum(count_matchings(s1, r2) for _, s1 in specs[:2] for r2, _ in specs[2:])
-    for coeff in product._terms.values():
-        for part in (coeff._re, coeff._im):
-            assert type(part) is int or part.denominator != 1
+    # The second set's denominators 5, 7, 97, 11 and 13 are pairwise coprime.
+    for c in ([GaussianRational(Fraction(1, 2), Fraction(1, 3)), GaussianRational(Fraction(-2, 3), 5),
+               GaussianRational(0, Fraction(-2, 5)), GaussianRational(Fraction(3, 4))],
+              [GaussianRational(Fraction(1, 5), Fraction(-1, 7)), GaussianRational(Fraction(1, 97)),
+               GaussianRational(0, Fraction(3, 11)), GaussianRational(Fraction(-4, 13), 2)]):
+        left = GraphSum([(make_vertex(*specs[0]), c[0]), (make_vertex(*specs[1]), c[1])])
+        right = GraphSum([(make_vertex(*specs[2]), c[2]), (make_vertex(*specs[3]), c[3])])
+        expected = NormalPolynomial.zero()
+        for i in (0, 1):
+            for j in (2, 3):
+                expected += multiply_monomials(specs[i], specs[j]).scale(c[i] * c[j])
+        product = left * right
+        assert project_sum(product) == expected
+        assert len(product) == sum(count_matchings(s1, r2) for _, s1 in specs[:2] for r2, _ in specs[2:])
+        for coeff in product._terms.values():
+            for part in (coeff._re, coeff._im):
+                assert type(part) is int or part.denominator != 1
 
 
 def test_graph_sum_cancellation_prunes():

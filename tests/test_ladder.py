@@ -137,8 +137,25 @@ def assert_stored_form(p: NormalPolynomial) -> None:
             assert type(part) is int or part.denominator != 1
 
 
+F = Fraction
+
+
 @given(model_polys, model_polys)
 @settings(deadline=None)
+# Coprime denominators within one operand: its common denominator is 5*7*97.
+@example({(1, 0): (F(1, 5), 0), (0, 1): (0, F(1, 7)), (0, 0): (F(1, 97), 0)},
+         {(1, 0): (F(1, 2), F(1, 3)), (0, 1): (1, 0), (1, 1): (0, F(-1, 11))})
+# An all-int operand (common denominator 1) times a fractional one, both ways.
+@example({(1, 0): (2, -3), (0, 1): (1, 0), (1, 1): (0, 4)},
+         {(0, 1): (F(1, 2), 0), (1, 0): (0, F(-2, 3)), (0, 0): (F(3, 4), F(1, 7))})
+@example({(0, 1): (F(1, 2), 0), (1, 0): (0, F(-2, 3))}, {(1, 0): (2, -3), (0, 0): (5, 0)})
+# Fractional terms that cancel: the ad a key of (a + ad)(ad - a)/9, and the
+# imaginary part of (1/2 + 1/3i)(1/2 - 1/3i).
+@example({(0, 1): (F(1, 3), 0), (1, 0): (F(1, 3), 0)}, {(0, 1): (F(1, 3), 0), (1, 0): (F(-1, 3), 0)})
+@example({(0, 0): (F(1, 2), F(1, 3))}, {(0, 0): (F(1, 2), F(-1, 3))})
+# The ad a key sums to 1+1i, integral only after the division by 15 * 2.
+@example({(1, 0): (F(1, 3), F(1, 5)), (0, 1): (F(5, 3), F(9, 5))},
+         {(1, 0): (F(1, 2), 0), (0, 1): (F(1, 2), 0)})
 def test_product_matches_two_fraction_model(p, q):
     product = (NormalPolynomial({m: GaussianRational(*c) for m, c in p.items()})
                * NormalPolynomial({m: GaussianRational(*c) for m, c in q.items()}))
