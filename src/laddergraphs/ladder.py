@@ -118,12 +118,9 @@ class NormalPolynomial(LinearCombination):
         return self._product(other, _monomial_product)
 
     def __pow__(self, n: int) -> "NormalPolynomial":
-        if not isinstance(n, int) or n < 0:
+        if not isinstance(n, int) or isinstance(n, bool) or n < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        result = NormalPolynomial.one()
-        for _ in range(n):
-            result = result * self
-        return result
+        return self._power(n, IDENTITY, _monomial_product)
 
     # -- hashing and display ---------------------------------------------------
 

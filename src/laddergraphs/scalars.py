@@ -16,10 +16,10 @@ always exact.
 finitely supported map from basis keys to nonzero coefficients, kept pruned
 by :func:`accumulate`.  Normally ordered polynomials and formal sums of
 graphs differ only in their basis, and both multiply through the core's one
-bilinear product, ``LinearCombination._product``.  It puts each operand over
-one common denominator and runs on the ``int`` numerators, so a product
-divides once and builds one :class:`GaussianRational` per result term rather
-than several ``Fraction`` values per basis term it forms.
+product loop, :func:`_pair_numerators`, on ``int`` numerators over a common
+denominator.  ``LinearCombination._product`` and ``_power``, whose running
+power stays over one denominator, divide once per result term rather than
+build several ``Fraction`` values per basis term they form.
 
 :class:`Record` is the base of the package's small immutable values:
 scalars, monomials, vertices, graphs, expression nodes and oracle reports.
@@ -304,6 +304,26 @@ def _integer_numerators(terms: dict) -> tuple[int, list[tuple]]:
                   c._im.numerator * (den // c._im.denominator)) for key, c in terms.items()]
 
 
+def _pair_numerators(left: list[tuple], right: list[tuple], expand) -> list[tuple]:
+    """Product of ``(key, re, im)`` numerator lists, over their denominators' product.
+
+    ``expand(k1, k2)`` yields ``(key, weight)`` pairs with ``int`` weights; keys
+    whose sum is zero are dropped.  The only product loop in the package.
+    """
+    sums: dict = {}
+    for k1, a, b in left:
+        for k2, c, d in right:
+            re, im = a * c - b * d, a * d + b * c
+            for key, weight in expand(k1, k2):
+                total = sums.get(key)
+                if total is None:
+                    sums[key] = [re * weight, im * weight]
+                else:
+                    total[0] += re * weight
+                    total[1] += im * weight
+    return [(key, re, im) for key, (re, im) in sums.items() if re or im]
+
+
 class LinearCombination:
     """Immutable finitely supported sum of basis keys with exact coefficients.
 
@@ -375,33 +395,30 @@ class LinearCombination:
         return self + (-other)
 
     def _product(self, other, expand: Callable[[Hashable, Hashable], Iterable[tuple]]):
-        """The bilinear product whose basis product is ``expand``.
-
-        ``expand(k1, k2)`` yields ``(key, weight)`` pairs with ``int``
-        weights.  Each operand is put over one common denominator, so the
-        coefficient pairs, the weighted terms and each key's real and
-        imaginary sums are all plain ``int`` numerators; a key whose sum is
-        nonzero is divided by the two denominators' product and wrapped once,
-        at the end.  The only product loop in the package.
-        """
+        """The bilinear product whose basis product is ``expand``, divided once per key."""
         den1, left = _integer_numerators(self._terms)
         den2, right = _integer_numerators(other._terms)
-        sums: dict = {}
-        for k1, a, b in left:
-            for k2, c, d in right:
-                re, im = a * c - b * d, a * d + b * c
-                for key, weight in expand(k1, k2):
-                    total = sums.get(key)
-                    if total is None:
-                        sums[key] = [re * weight, im * weight]
-                    else:
-                        total[0] += re * weight
-                        total[1] += im * weight
-        raw, den = GaussianRational._raw, den1 * den2
+        return self._from_numerators(den1 * den2, _pair_numerators(left, right, expand))
+
+    def _power(self, n: int, unit: Hashable, expand):
+        """``unit`` times ``n`` factors ``self``, left to right, over one denominator.
+
+        After ``k`` steps the running power is ``int`` numerators over ``D**k``,
+        ``D`` the base's common denominator; each result key is divided once.
+        """
+        den, base = _integer_numerators(self._terms)
+        power = [(unit, 1, 0)]
+        for _ in range(n):
+            power = _pair_numerators(power, base, expand)
+        return self._from_numerators(den ** n, power)
+
+    def _from_numerators(self, den: int, numerators: list[tuple]):
+        """Wrap nonzero ``(key, re, im)`` numerators over ``den`` as a sum of this class."""
+        raw = GaussianRational._raw
         if den == 1:
-            return self._raw({key: raw(re, im) for key, (re, im) in sums.items() if re or im})
+            return self._raw({key: raw(re, im) for key, re, im in numerators})
         return self._raw({key: raw(_integral(Fraction(re, den)), _integral(Fraction(im, den)))
-                          for key, (re, im) in sums.items() if re or im})
+                          for key, re, im in numerators})
 
     def scale(self, c: "ScalarLike"):
         c = GaussianRational.coerce(c)

@@ -1,4 +1,6 @@
 from fractions import Fraction
+from functools import reduce
+from operator import mul
 
 import pytest
 from hypothesis import example, given, settings
@@ -224,6 +226,30 @@ def test_power_operator():
     assert n ** 3 == n * n * n
     with pytest.raises(ValueError):
         n ** -1
+    # bool is an int subclass, but not an exponent.
+    for exponent in (True, False, 2.0, Fraction(2)):
+        with pytest.raises(ValueError, match="exponent must be a nonnegative integer"):
+            as_poly({(0, 1): 1, (1, 0): 1}) ** exponent
+
+
+@given(model_polys, st.integers(0, 6))
+@settings(deadline=None)
+# Coprime denominators within one base: its common denominator is 5*7*97.
+@example({(1, 0): (F(1, 5), 0), (0, 1): (0, F(1, 7)), (0, 0): (F(1, 97), 0)}, 4)
+# (a + ad + ad a - 1/2)^2 has no a and no ad term; the cube is formed from it.
+@example({(0, 1): (1, 0), (1, 0): (1, 0), (1, 1): (1, 0), (0, 0): (F(-1, 2), 0)}, 3)
+# The identity term of (a + ad + ad a + 1i)^2 cancels: 1 from a ad, -1 from i^2.
+@example({(0, 1): (1, 0), (1, 0): (1, 0), (1, 1): (1, 0), (0, 0): (0, 1)}, 2)
+# An all-int base has common denominator 1.
+@example({(1, 0): (2, -3), (0, 1): (1, 0), (1, 1): (0, 4)}, 6)
+@example({}, 0)
+@example({}, 3)
+def test_power_matches_left_fold(p, n):
+    base = NormalPolynomial({m: GaussianRational(*c) for m, c in p.items()})
+    power = base ** n
+    fold = reduce(mul, [base] * n, NormalPolynomial.one())
+    assert power._terms == fold._terms
+    assert_stored_form(power)
 
 
 def test_terms_are_in_canonical_order():
