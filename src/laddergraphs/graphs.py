@@ -36,22 +36,27 @@ construction (fresh labels, a shift that keeps the operands apart, new edges
 only from ``g2`` into ``g1``) and go through the private
 ``DiagGraph._trusted``, which skips the checks.  Composition does its
 per-operand-pair work (the shift and the embedded copy of ``g2``) once per
-pair, not once per matching.
+pair.  Enumeration then runs in buckets, one per matching size: it finds the
+remaining gray spots once per gray combination and the remaining white spots
+once per white combination, builds only the joined edges and the graph per
+matching, and sorts each bucket into canonical order.  :func:`compose` builds
+its one composition through the same assembly.
 """
 
 from __future__ import annotations
 
 import re
-from functools import reduce
-from itertools import combinations, islice, permutations, repeat
+from functools import cache, reduce
+from itertools import chain, combinations, islice, permutations, product, repeat
 from math import comb, factorial
-from operator import mul
+from operator import itemgetter, mul
 from typing import Callable, Iterable, Iterator
 
 from .ladder import NormalMonomial, NormalPolynomial, Word
 from .scalars import ONE, LinearCombination, Record, ScalarLike
 
 Matching = tuple[tuple[int, int], ...]  # (gray in-port of g1, white out-port of g2) pairs
+Picker = Callable[[tuple], tuple]
 
 
 class Vertex(Record):
@@ -284,38 +289,90 @@ def _shift_vertex(v: Vertex, offset: int) -> Vertex:
     )
 
 
-def _composer(g1: DiagGraph, g2: DiagGraph) -> Callable[[Matching], DiagGraph]:
-    """The compositions of ``g1`` with ``g2`` as a function of the matching.
+def _picker(indices) -> Picker:
+    """``t -> tuple(t[i] for i in indices)``; ``tuple`` serves the ``()`` and ``(0,)`` used here."""
+    return itemgetter(*indices) if len(indices) > 1 else tuple
+
+
+def _pairing(perm: tuple[int, ...]) -> tuple[Picker, Picker]:
+    """Two pickers for one way of joining ``n`` sorted grays to ``n`` sorted whites.
+
+    ``perm[j]`` is the index of the white joined to gray ``j``.  The first
+    picker takes ``grays + whites`` to the matching's sort key
+    ``(gray 0, its white, gray 1, its white, ...)``, which orders matchings
+    as :func:`enumerate_matchings` does.  The second takes the row-major
+    table ``product(whites, grays)`` of candidate edges to the joined edges,
+    sorted by white, that is by out-port.
+    """
+    n = len(perm)
+    key = [index for gray, white in enumerate(perm) for index in (gray, n + white)]
+    edges = sorted(white * n + gray for gray, white in enumerate(perm))
+    return _picker(key), _picker(edges)
+
+
+@cache  # a size's list is never longer than the smallest bucket that asks for it
+def _pairings(size: int) -> tuple[tuple[Picker, Picker], ...]:
+    """Every :func:`_pairing` of ``size`` grays."""
+    return tuple(_pairing(perm) for perm in permutations(range(size)))
+
+
+def _assembler(g1: DiagGraph, g2: DiagGraph) -> Callable[..., list[DiagGraph]]:
+    """The compositions of ``g1`` with ``g2``, by gray and white combination.
 
     The per-pair work is done here, once: the shift, the shifted vertices and
-    edges of ``g2`` and its shifted dangling ports.  Each call then adds one
-    edge per matched pair and drops the matched spots.  The matching must be
-    valid (:func:`compose` checks a caller's); the result is then valid by
+    edges of ``g2`` and its shifted dangling ports.  The returned function
+    takes gray combinations (sorted labels of ``g1``) and white combinations
+    (sorted labels of ``g2``) of one size and applies every given
+    :func:`_pairing` to each gray/white pair of them.  It returns the
+    compositions sorted by matching.  The matchings must be valid
+    (:func:`compose` checks a caller's); every result is then valid by
     construction and built with ``DiagGraph._trusted``.
     """
     shift = g1.port_count
     vertices = g1.vertices + tuple(_shift_vertex(v, shift) for v in g2.vertices)
     # Every out-port of g1 is below ``shift``, so g1's sorted edges stay a
-    # sorted prefix and only the edges leaving g2 need sorting.
+    # sorted prefix; only the edges leaving g2 are merged with the joined ones.
     g1_edges = g1.edges
-    g2_edges = [(out_p + shift, in_p + shift) for out_p, in_p in g2.edges]
+    g2_edges = tuple([(out_p + shift, in_p + shift) for out_p, in_p in g2.edges])
     g1_grays, g1_whites = g1.dangling_in, g1.dangling_out
     g2_grays = tuple(p + shift for p in g2.dangling_in)
     g2_whites = tuple(p + shift for p in g2.dangling_out)
     trusted = DiagGraph._trusted
 
-    def build(matching: Matching) -> DiagGraph:
-        joined = [(white + shift, gray) for gray, white in matching]
-        matched_gray = {gray for _, gray in joined}
-        matched_white = {white for white, _ in joined}
-        return trusted(
-            vertices,
-            g1_edges + tuple(sorted(g2_edges + joined)),
-            tuple([p for p in g1_grays if p not in matched_gray]) + g2_grays,
-            g1_whites + tuple([p for p in g2_whites if p not in matched_white]),
-        )
+    def assemble(gray_combos, white_combos, pairings) -> list[DiagGraph]:
+        # Remaining spots once per combination, grays in g1.dangling_in's own order.
+        by_white = []
+        for whites in white_combos:
+            shifted = tuple([p + shift for p in whites])
+            rest = g1_whites + tuple([p for p in g2_whites if p not in shifted])
+            by_white.append((whites, shifted, rest))
+        keyed = []
+        append = keyed.append
+        for grays in gray_combos:
+            dangling_in = tuple([p for p in g1_grays if p not in grays]) + g2_grays
+            for whites, shifted, dangling_out in by_white:
+                both = grays + whites
+                candidates = tuple(product(shifted, grays))
+                for key_of, joined_of in pairings:
+                    joined = joined_of(candidates)
+                    edges = g1_edges + (tuple(sorted(joined + g2_edges)) if g2_edges else joined)
+                    append((key_of(both), trusted(vertices, edges, dangling_in, dangling_out)))
+        keyed.sort(key=itemgetter(0))
+        return [graph for _, graph in keyed]
 
-    return build
+    return assemble
+
+
+def _composition_buckets(g1: DiagGraph, g2: DiagGraph) -> Iterator[list[DiagGraph]]:
+    """:func:`enumerate_compositions`, one list per matching size.
+
+    Compositions in different buckets have different edge counts, so no
+    graph is in two buckets.
+    """
+    assemble = _assembler(g1, g2)
+    grays, whites = sorted(g1.dangling_in), sorted(g2.dangling_out)
+    for size in range(min(len(grays), len(whites)) + 1):
+        yield assemble(combinations(grays, size), combinations(whites, size), _pairings(size))
 
 
 def compose(g1: DiagGraph, g2: DiagGraph, matching: Matching) -> DiagGraph:
@@ -324,20 +381,26 @@ def compose(g1: DiagGraph, g2: DiagGraph, matching: Matching) -> DiagGraph:
     ``matching`` pairs dangling in-ports of ``g1`` with dangling out-ports of
     ``g2`` (labels as in the operands).  ``g2`` is embedded with its labels
     shifted by ``g1.port_count``; matched pairs become edges from ``g2`` into
-    ``g1``.
+    ``g1``.  Raises ``ValueError`` when a label is not an ``int`` or does
+    not name an unmatched spot.
     """
     gray_set = set(g1.dangling_in)
     white_set = set(g2.dangling_out)
-    matched_gray: set[int] = set()
+    partner: dict[int, int] = {}
     matched_white: set[int] = set()
     for gray, white in matching:
-        if gray not in gray_set or gray in matched_gray:
+        _check_labels((gray, white))
+        if gray not in gray_set or gray in partner:
             raise ValueError(f"invalid matching: {gray} is not an unmatched gray spot of the first graph")
         if white not in white_set or white in matched_white:
             raise ValueError(f"invalid matching: {white} is not an unmatched white spot of the second graph")
-        matched_gray.add(gray)
+        partner[gray] = white
         matched_white.add(white)
-    return _composer(g1, g2)(matching)
+    grays = tuple(sorted(partner))
+    whites = tuple(sorted(matched_white))
+    perm = tuple([whites.index(partner[gray]) for gray in grays])
+    (graph,) = _assembler(g1, g2)((grays,), (whites,), (_pairing(perm),))
+    return graph
 
 
 def enumerate_compositions(g1: DiagGraph, g2: DiagGraph) -> list[DiagGraph]:
@@ -347,7 +410,12 @@ def enumerate_compositions(g1: DiagGraph, g2: DiagGraph) -> list[DiagGraph]:
     disjoint union (empty matching).  All outputs are pairwise distinct as
     labeled graphs.
     """
-    return list(map(_composer(g1, g2), enumerate_matchings(g1.dangling_in, g2.dangling_out)))
+    return list(chain.from_iterable(_composition_buckets(g1, g2)))
+
+
+def _nth_matching(grays: Iterable[int], whites: Iterable[int], index: int) -> Matching:
+    """The matching at ``index`` in :func:`enumerate_matchings` order."""
+    return next(islice(enumerate_matchings(grays, whites), index, None))
 
 
 def build_iteratively(steps: Iterable[tuple[int, int, int]]) -> DiagGraph:
@@ -365,8 +433,7 @@ def build_iteratively(steps: Iterable[tuple[int, int, int]]) -> DiagGraph:
             raise ValueError(
                 f"step {step_no}: matching index {matching_index} out of range 0..{total - 1}"
             )
-        matchings = enumerate_matchings(acc.dangling_in, vertex.dangling_out)
-        chosen = next(islice(matchings, matching_index, None))
+        chosen = _nth_matching(acc.dangling_in, vertex.dangling_out, matching_index)
         acc = compose(acc, vertex, chosen)
     return acc
 
@@ -420,9 +487,12 @@ class GraphSum(LinearCombination):
 # Forgetful projection
 # ---------------------------------------------------------------------------
 
+_monomial = cache(NormalMonomial)
+
+
 def project(g: DiagGraph) -> NormalMonomial:
     """Forget all inner structure: keep (white spot count, gray spot count)."""
-    return NormalMonomial(len(g.dangling_out), len(g.dangling_in))
+    return _monomial(len(g.dangling_out), len(g.dangling_in))
 
 
 def project_sum(x: GraphSum) -> NormalPolynomial:

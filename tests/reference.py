@@ -64,6 +64,29 @@ def all_partial_matchings(grays: tuple, whites: tuple) -> set:
     return result
 
 
+def compose_fields(g1: tuple, g2: tuple, matching) -> tuple:
+    """One composition on plain graph fields, straight from the definition.
+
+    A graph is ``(vertices, edges, dangling_in, dangling_out)`` with each
+    vertex an ``(in_ports, out_ports)`` pair.  ``g2``'s labels move up by
+    ``g1``'s port count, each matched (gray of ``g1``, white of ``g2``) pair
+    becomes an edge, edges are sorted, and the unmatched spots keep their
+    order, ``g1``'s first.
+    """
+    vertices1, edges1, grays1, whites1 = g1
+    vertices2, edges2, grays2, whites2 = g2
+    shift = sum(len(ins) + len(outs) for ins, outs in vertices1)
+    matched_grays = {gray for gray, _ in matching}
+    matched_whites = {white for _, white in matching}
+    vertices = tuple(vertices1) + tuple(
+        (tuple(p + shift for p in ins), tuple(p + shift for p in outs)) for ins, outs in vertices2)
+    edges = sorted(list(edges1) + [(o + shift, i + shift) for o, i in edges2]
+                   + [(white + shift, gray) for gray, white in matching])
+    grays = [p for p in grays1 if p not in matched_grays] + [p + shift for p in grays2]
+    whites = list(whites1) + [p + shift for p in whites2 if p not in matched_whites]
+    return vertices, tuple(edges), tuple(grays), tuple(whites)
+
+
 @lru_cache(maxsize=None)
 def count_partial_matchings(n: int, m: int) -> int:
     # L(n, m) = L(n-1, m) + m * L(n-1, m-1): first element unmatched or matched.

@@ -293,6 +293,64 @@ def test_compose_rejects_invalid_matchings():
         compose(make_vertex(1, 2), g2, ((1, 0), (2, 0)))  # white 0 twice
     ok = compose(g1, g2, ((1, 0),))
     assert ok.edges == ((2, 1),)
+    assert compose(g1, g2, iter([(1, 0)])) == ok  # read once, as checked
+
+
+# ``True == 1`` and ``1.0 == 1``, so these labels pass the spot checks and
+# would end up in an edge no decoder accepts.
+NON_INTEGER_MATCHINGS = [((True, 0),), ((1.0, 0),), ((1, False),), ((1, 0.0),)]
+
+
+@pytest.mark.parametrize("matching", NON_INTEGER_MATCHINGS)
+def test_compose_refuses_non_integer_labels(matching):
+    with pytest.raises(ValueError, match="port label must be an integer"):
+        compose(make_vertex(0, 2), make_vertex(1, 0), matching)
+
+
+def test_compose_refuses_non_integer_labels_in_optimized_mode():
+    code = (
+        "from laddergraphs.graphs import compose, make_vertex\n"
+        f"for matching in {NON_INTEGER_MATCHINGS!r}:\n"
+        "    try:\n"
+        "        compose(make_vertex(0, 2), make_vertex(1, 0), matching)\n"
+        "    except ValueError:\n"
+        "        print('refused')\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "refused\n" * len(NON_INTEGER_MATCHINGS)
+
+
+def fields(g: DiagGraph) -> tuple:
+    vertices = tuple((v.in_ports, v.out_ports) for v in g.vertices)
+    return vertices, g.edges, g.dangling_in, g.dangling_out
+
+
+# Three in-ports listed out of label order, which composition must keep.
+UNSORTED_GRAYS = DiagGraph(vertices=(Vertex((0, 1, 2), ()),), dangling_in=(2, 0, 1))
+# An internal edge 2>1 whose out-port lies between the white spots 0 and 3.
+INNER_EDGE = build_iteratively([(1, 1, 0), (2, 1, 1)])
+
+
+@given(chains().map(build_iteratively), chains().map(build_iteratively))
+@example(make_vertex(2, 2), INNER_EDGE)
+@example(UNSORTED_GRAYS, make_vertex(2, 0))
+@example(void_graph(), void_graph())
+@example(void_graph(), make_vertex(1, 1))
+@example(make_vertex(1, 1), void_graph())
+@settings(deadline=None, max_examples=60)
+def test_enumeration_is_compose_over_every_matching(g1, g2):
+    matchings = list(enumerate_matchings(g1.dangling_in, g2.dangling_out))
+    comps = enumerate_compositions(g1, g2)
+    assert len(comps) == len(matchings)
+    for ours, matching in zip(comps, matchings):
+        theirs = compose(g1, g2, matching)
+        assert ours == theirs
+        assert canonical_encode(ours) == canonical_encode(theirs)
+        # compose and enumeration share their assembly; check it from the definition
+        assert fields(ours) == reference.compose_fields(fields(g1), fields(g2), matching)
 
 
 def test_composition_edges_point_from_second_into_first():
