@@ -235,6 +235,9 @@ def main(argv: list[str] | None = None) -> int:
         # so the interpreter's final flush cannot raise again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
+    except OSError as exc:  # e.g. a --dot directory that cannot be made
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -52,7 +52,7 @@ from math import comb, factorial
 from operator import itemgetter, mul
 from typing import Callable, Iterable, Iterator
 
-from .ladder import NormalMonomial, NormalPolynomial, Word
+from .ladder import NormalMonomial, NormalPolynomial, Word, _monomial
 from .scalars import ONE, LinearCombination, Record, ScalarLike
 
 Matching = tuple[tuple[int, int], ...]  # (gray in-port of g1, white out-port of g2) pairs
@@ -486,9 +486,6 @@ class GraphSum(LinearCombination):
 # ---------------------------------------------------------------------------
 # Forgetful projection
 # ---------------------------------------------------------------------------
-
-_monomial = cache(NormalMonomial)
-
 
 def project(g: DiagGraph) -> NormalMonomial:
     """Forget all inner structure: keep (white spot count, gray spot count)."""

@@ -14,7 +14,8 @@ supported sums of basis elements with :class:`GaussianRational` coefficients,
 built on the sparse linear-combination core of :mod:`laddergraphs.scalars`
 (:class:`LinearCombination` and :func:`accumulate`); their product is the
 core's bilinear product with the cached closed form above as its basis
-product.  All arithmetic is exact.
+product.  That loop runs on plain ``(r, s)`` pairs; each result term leaves it
+as one interned :class:`NormalMonomial`.  All arithmetic is exact.
 
 Free (unordered) words in the two generators are normalized by two
 independent strategies, a rewrite engine and a fold over basis products,
@@ -26,7 +27,7 @@ from __future__ import annotations
 from enum import Enum
 from functools import cache, reduce
 from math import comb, factorial
-from operator import mul
+from operator import attrgetter, mul
 
 from .scalars import ONE, GaussianRational, LinearCombination, Record, ScalarLike, accumulate
 
@@ -39,8 +40,8 @@ class NormalMonomial(Record):
     __slots__ = __match_args__ = ("r", "s")
 
     def __init__(self, r: int, s: int):
-        if not (isinstance(r, int) and isinstance(s, int)):
-            raise TypeError("monomial exponents must be integers")
+        if not (isinstance(r, int) and isinstance(s, int)) or bool in (type(r), type(s)):
+            raise TypeError(f"monomial exponents must be integers, got {(r, s)!r}")
         if r < 0 or s < 0:
             raise ValueError(f"monomial exponents must be nonnegative, got {(r, s)}")
         _set_r(self, r)
@@ -63,10 +64,11 @@ class NormalMonomial(Record):
 
 
 _set_r, _set_s = NormalMonomial.r.__set__, NormalMonomial.s.__set__
+_monomial = cache(NormalMonomial)  # interned: one shared monomial per (r, s)
 
-IDENTITY = NormalMonomial(0, 0)
-LOWER = NormalMonomial(0, 1)
-RAISE = NormalMonomial(1, 0)
+IDENTITY = _monomial(0, 0)
+LOWER = _monomial(0, 1)
+RAISE = _monomial(1, 0)
 
 
 def _as_monomial(m: "MonomialLike") -> NormalMonomial:
@@ -93,6 +95,8 @@ class NormalPolynomial(LinearCombination):
 
     _key = staticmethod(_as_monomial)
     _sort_key = staticmethod(_term_sort_key)
+    _loop_key = staticmethod(attrgetter("r", "s"))
+    _stored_key = staticmethod(lambda pair: _monomial(*pair))
 
     # -- constructors ------------------------------------------------------
 
@@ -115,12 +119,12 @@ class NormalPolynomial(LinearCombination):
         """Bilinear extension of the basis product; noncommutative."""
         if not isinstance(other, NormalPolynomial):
             return NotImplemented
-        return self._product(other, _monomial_product)
+        return self._product(other, _basis_product)
 
     def __pow__(self, n: int) -> "NormalPolynomial":
         if not isinstance(n, int) or isinstance(n, bool) or n < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        return self._power(n, IDENTITY, _monomial_product)
+        return self._power(n, IDENTITY, _basis_product)
 
     # -- hashing and display ---------------------------------------------------
 
@@ -165,15 +169,13 @@ class NormalPolynomial(LinearCombination):
 
 
 @cache
-def _basis_product(r: int, s: int, k: int, l: int) -> tuple[tuple[NormalMonomial, int], ...]:
+def _basis_product(m1: tuple[int, int], m2: tuple[int, int]) -> tuple[tuple[tuple, int], ...]:
+    """The closed form of ``m1 * m2`` on ``(r, s)`` pairs, as ``((r', s'), weight)`` terms."""
+    (r, s), (k, l) = m1, m2
     return tuple(
-        (NormalMonomial(r + k - i, s + l - i), factorial(i) * comb(s, i) * comb(k, i))
+        ((r + k - i, s + l - i), factorial(i) * comb(s, i) * comb(k, i))
         for i in range(min(k, s) + 1)
     )
-
-
-def _monomial_product(m1: NormalMonomial, m2: NormalMonomial):
-    return _basis_product(m1.r, m1.s, m2.r, m2.s)
 
 
 def multiply_monomials(m1: MonomialLike, m2: MonomialLike) -> NormalPolynomial:
@@ -184,7 +186,7 @@ def multiply_monomials(m1: MonomialLike, m2: MonomialLike) -> NormalPolynomial:
     ``i! * C(s, i) * C(k, i)``; the ``i = 0`` term always has coefficient 1.
     """
     m1, m2 = _as_monomial(m1), _as_monomial(m2)
-    return NormalPolynomial(_basis_product(m1.r, m1.s, m2.r, m2.s))
+    return NormalPolynomial(_basis_product((m1.r, m1.s), (m2.r, m2.s)))
 
 
 def commutator_powers(s: int, k: int) -> NormalPolynomial:

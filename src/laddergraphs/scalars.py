@@ -19,7 +19,8 @@ graphs differ only in their basis, and both multiply through the core's one
 product loop, :func:`_pair_numerators`, on ``int`` numerators over a common
 denominator.  ``LinearCombination._product`` and ``_power``, whose running
 power stays over one denominator, divide once per result term rather than
-build several ``Fraction`` values per basis term they form.
+build several ``Fraction`` values per basis term they form.  The loop may run
+on lighter keys than a sum stores, mapped back once per result term.
 
 :class:`Record` is the base of the package's small immutable values:
 scalars, monomials, vertices, graphs, expression nodes and oracle reports.
@@ -296,11 +297,11 @@ def accumulate(acc: dict, key: Hashable, coeff) -> None:
         acc.pop(key, None)
 
 
-def _integer_numerators(terms: dict) -> tuple[int, list[tuple]]:
-    """``(D, [(key, D*re, D*im), ...])``: the terms over their least common denominator."""
+def _integer_numerators(terms: dict, loop_key) -> tuple[int, list[tuple]]:
+    """``(D, [(loop key, D*re, D*im), ...])``: the terms over their least common denominator."""
     coeffs = terms.values()
     den = lcm(*{c._re.denominator for c in coeffs}, *{c._im.denominator for c in coeffs})
-    return den, [(key, c._re.numerator * (den // c._re.denominator),
+    return den, [(loop_key(key), c._re.numerator * (den // c._re.denominator),
                   c._im.numerator * (den // c._im.denominator)) for key, c in terms.items()]
 
 
@@ -331,13 +332,14 @@ class LinearCombination:
     two equal sums always have identical term maps.  A subclass fixes its
     basis: ``_key`` normalizes a key on the way in, ``_sort_key`` orders
     :meth:`terms`, and the subclass's ``__mul__`` passes its basis product
-    to :meth:`_product`.  Sums over different bases never combine or compare
-    equal.
+    to :meth:`_product`, whose loop sees ``_loop_key(key)`` for a stored key
+    and stores ``_stored_key(key)`` for a key it yields (both the identity
+    here).  Sums over different bases never combine or compare equal.
     """
 
     __slots__ = ("_terms",)
 
-    _key = staticmethod(lambda key: key)
+    _key = _loop_key = _stored_key = staticmethod(lambda key: key)
 
     def __init__(self, terms: Mapping | Iterable[tuple] = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
@@ -395,9 +397,9 @@ class LinearCombination:
         return self + (-other)
 
     def _product(self, other, expand: Callable[[Hashable, Hashable], Iterable[tuple]]):
-        """The bilinear product whose basis product is ``expand``, divided once per key."""
-        den1, left = _integer_numerators(self._terms)
-        den2, right = _integer_numerators(other._terms)
+        """The bilinear product whose basis product ``expand`` acts on loop keys."""
+        den1, left = _integer_numerators(self._terms, self._loop_key)
+        den2, right = _integer_numerators(other._terms, self._loop_key)
         return self._from_numerators(den1 * den2, _pair_numerators(left, right, expand))
 
     def _power(self, n: int, unit: Hashable, expand):
@@ -406,18 +408,18 @@ class LinearCombination:
         After ``k`` steps the running power is ``int`` numerators over ``D**k``,
         ``D`` the base's common denominator; each result key is divided once.
         """
-        den, base = _integer_numerators(self._terms)
-        power = [(unit, 1, 0)]
+        den, base = _integer_numerators(self._terms, self._loop_key)
+        power = [(self._loop_key(unit), 1, 0)]
         for _ in range(n):
             power = _pair_numerators(power, base, expand)
         return self._from_numerators(den ** n, power)
 
     def _from_numerators(self, den: int, numerators: list[tuple]):
-        """Wrap nonzero ``(key, re, im)`` numerators over ``den`` as a sum of this class."""
-        raw = GaussianRational._raw
+        """Wrap nonzero ``(loop key, re, im)`` numerators over ``den`` as a sum of this class."""
+        raw, key_of = GaussianRational._raw, self._stored_key
         if den == 1:
-            return self._raw({key: raw(re, im) for key, re, im in numerators})
-        return self._raw({key: raw(_integral(Fraction(re, den)), _integral(Fraction(im, den)))
+            return self._raw({key_of(key): raw(re, im) for key, re, im in numerators})
+        return self._raw({key_of(key): raw(_integral(Fraction(re, den)), _integral(Fraction(im, den)))
                           for key, re, im in numerators})
 
     def scale(self, c: "ScalarLike"):

@@ -95,6 +95,17 @@ def test_compose_writes_dot_files(capsys, tmp_path):
     assert f"wrote 2 dot files to {target}" in out
 
 
+@pytest.mark.parametrize("argv", [("compose", "1", "1", "1", "1"), ("render", "1,1")])
+def test_unwritable_dot_directory_is_one_error_line(capsys, tmp_path, argv):
+    # A path below a regular file cannot be made into a directory.
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code, _, err = run_cli(capsys, *argv, "--dot", str(blocker / "x"))
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_project_check(capsys):
     code, out, _ = run_cli(capsys, "project-check", "--bounds", "2,2,2,2")
     assert code == 0

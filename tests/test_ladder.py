@@ -50,6 +50,17 @@ def test_monomial_validation():
     assert IDENTITY.is_identity() and not LOWER.is_identity()
 
 
+def test_monomial_refuses_bool_exponents():
+    # bool is an int subclass, but not an exponent.
+    for r, s in ((True, 2), (1, False), (False, True)):
+        with pytest.raises(TypeError, match="monomial exponents must be integers"):
+            NormalMonomial(r, s)
+    with pytest.raises(TypeError):
+        multiply_monomials((True, 1), (1, False))
+    with pytest.raises(TypeError):
+        NormalPolynomial({(1, True): 1})
+
+
 def test_worked_product_examples():
     # (2,1)(2,2) and the reversed order, with their known expansions
     assert multiply_monomials((2, 1), (2, 2)) == as_poly({(4, 3): 1, (3, 2): 2})
@@ -195,9 +206,33 @@ def test_product_prunes_cancelled_terms():
     p = NormalPolynomial({(0, 1): c, (1, 0): -c})
     assert len(p * NormalPolynomial.zero()) == 0
     assert len(NormalPolynomial.zero() * p) == 0
-    # A basis product that sends every pair to one key: the sum cancels to 0.
-    collapsed = p._product(NormalPolynomial.one(), lambda m1, m2: [(IDENTITY, 1)])
+    # A basis product that sends every pair to one loop key, the (r, s) pair
+    # (0, 0): the sum cancels to 0.
+    def collapse(k1, k2):
+        return [((0, 0), 1)]
+
+    collapsed = p._product(NormalPolynomial.one(), collapse)
     assert len(collapsed) == 0 and not collapsed
+    # Without the cancellation the one loop key maps back to IDENTITY.
+    doubled = NormalPolynomial({(0, 1): c, (1, 0): c})._product(NormalPolynomial.one(), collapse)
+    assert doubled == NormalPolynomial({IDENTITY: c * 2})
+    assert [m is IDENTITY for m in doubled._terms] == [True]
+
+
+def assert_monomial_keys(p: NormalPolynomial) -> None:
+    """Every stored key is a NormalMonomial; ``p`` equals its rebuild from fresh ones."""
+    assert all(type(m) is NormalMonomial for m in p._terms)
+    rebuilt = NormalPolynomial({NormalMonomial(m.r, m.s): c for m, c in p._terms.items()})
+    assert p == rebuilt and hash(p) == hash(rebuilt)
+
+
+@given(polys, polys, st.integers(0, 5), words,
+       st.one_of(monomials, st.tuples(st.integers(0, 4), st.integers(0, 4))), monomials)
+@settings(deadline=None)
+def test_results_are_keyed_by_normal_monomials(p, q, n, word, m1, m2):
+    # The product loop runs on (r, s) pairs; no pair may leak into a result.
+    for result in (p * q, p ** n, normal_order_fold(word), multiply_monomials(m1, m2)):
+        assert_monomial_keys(result)
 
 
 @given(polys)
