@@ -14,6 +14,8 @@ The package keeps two faithful models of the same algebra side by side:
 :mod:`laddergraphs.cli` the command-line interface.
 """
 
+from types import ModuleType as _ModuleType
+
 from .exprs import (
     ExprNode,
     IdentityExpr,
@@ -69,54 +71,6 @@ from .scalars import GaussianRational
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "DiagGraph",
-    "ExprNode",
-    "GaussianRational",
-    "GraphSum",
-    "IDENTITY",
-    "IdentityExpr",
-    "LOWER",
-    "Letter",
-    "LetterExpr",
-    "Matching",
-    "NormalMonomial",
-    "NormalPolynomial",
-    "OracleReport",
-    "ParseError",
-    "PowerExpr",
-    "ProductExpr",
-    "RAISE",
-    "ScaledExpr",
-    "SumExpr",
-    "Vertex",
-    "Word",
-    "build_iteratively",
-    "canonical_decode",
-    "canonical_encode",
-    "commutator_powers",
-    "compose",
-    "count_matchings",
-    "enumerate_compositions",
-    "enumerate_matchings",
-    "evaluate",
-    "format_polynomial",
-    "graph_from_json",
-    "graph_to_dot",
-    "graph_to_json",
-    "make_vertex",
-    "multiply_monomials",
-    "normal_order_fold",
-    "normal_order_rewrite",
-    "normal_order_via_graphs",
-    "normal_order_word",
-    "parse",
-    "power_word",
-    "project",
-    "project_sum",
-    "random_graph",
-    "random_word",
-    "run_oracle_checks",
-    "void_graph",
-    "word_from_str",
-]
+# The public names are exactly the names imported above.
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

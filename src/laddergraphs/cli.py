@@ -63,22 +63,20 @@ def _print_json(obj: object) -> None:
     print(json.dumps(obj, indent=2))
 
 
-def _cmd_normal_order(args: argparse.Namespace) -> int:
-    poly = evaluate(parse(args.expr))
-    if args.json:
+def _print_polynomial(poly: NormalPolynomial, as_json: bool) -> int:
+    if as_json:
         _print_json(poly.to_json())
     else:
         print(format_polynomial(poly))
     return 0
+
+
+def _cmd_normal_order(args: argparse.Namespace) -> int:
+    return _print_polynomial(evaluate(parse(args.expr)), args.json)
 
 
 def _cmd_commutator(args: argparse.Namespace) -> int:
-    poly = commutator_powers(args.s, args.k)
-    if args.json:
-        _print_json(poly.to_json())
-    else:
-        print(format_polynomial(poly))
-    return 0
+    return _print_polynomial(commutator_powers(args.s, args.k), args.json)
 
 
 def _cmd_compose(args: argparse.Namespace) -> int:
@@ -117,19 +115,9 @@ def _cmd_compose(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_project_check(args: argparse.Namespace) -> int:
-    max_r, max_s, max_k, max_l = args.bounds
-    report = run_oracle_checks(max_r, max_s, max_k, max_l, words=0, graph_pairs=0)
-    print("\n".join(report.lines()))
-    return 0 if report.passed else 1
-
-
 def _cmd_oracle_check(args: argparse.Namespace) -> int:
-    max_r, max_s, max_k, max_l = args.bounds
-    report = run_oracle_checks(
-        max_r, max_s, max_k, max_l,
-        words=args.words, graph_pairs=args.pairs, seed=args.seed,
-    )
+    report = run_oracle_checks(*args.bounds, words=args.words, graph_pairs=args.pairs,
+                               seed=args.seed)
     print("\n".join(report.lines()))
     return 0 if report.passed else 1
 
@@ -200,7 +188,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("project-check", help="projection vs closed form on an exhaustive sweep")
     p.add_argument("--bounds", type=_bounds, default=DEFAULT_BOUNDS, metavar="r,s,k,l",
                    help="sweep bounds (default 4,4,4,4)")
-    p.set_defaults(func=_cmd_project_check)
+    p.set_defaults(func=_cmd_oracle_check, words=0, pairs=0, seed=42)
 
     p = sub.add_parser("oracle-check", help="run the full cross-validation suite")
     p.add_argument("--bounds", type=_bounds, default=DEFAULT_BOUNDS, metavar="r,s,k,l",

@@ -25,6 +25,7 @@ See GRAMMAR.md at the repository root for the frozen contract.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from operator import add, mul
 
@@ -140,6 +141,8 @@ _DIGITS = set("0123456789")
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
     i, n = 0, len(text)
+    # The longest digit string ``int`` converts; 0 means no limit.
+    max_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     while i < n:
         ch = text[i]
         if ch in " \t\r\n":
@@ -153,6 +156,9 @@ def _tokenize(text: str) -> list[_Token]:
             j = i
             while j < n and text[j] in _DIGITS:
                 j += 1
+            if 0 < max_digits < j - i:
+                raise ParseError(i, f"lexical error at position {i}: integer literal "
+                                    f"longer than {max_digits} digits")
             tokens.append(_Token("int", text[i:j], i))
             i = j
             continue

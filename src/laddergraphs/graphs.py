@@ -34,13 +34,8 @@ for cycles, under ``python -O`` too.  Graphs the package builds itself --
 :func:`make_vertex`, :func:`void_graph` and every composition -- are valid by
 construction (fresh labels, a shift that keeps the operands apart, new edges
 only from ``g2`` into ``g1``) and go through the private
-``DiagGraph._trusted``, which skips the checks.  Composition does its
-per-operand-pair work (the shift and the embedded copy of ``g2``) once per
-pair.  Enumeration then runs in buckets, one per matching size: it finds the
-remaining gray spots once per gray combination and the remaining white spots
-once per white combination, builds only the joined edges and the graph per
-matching, and sorts each bucket into canonical order.  :func:`compose` builds
-its one composition through the same assembly.
+``DiagGraph._trusted``, which skips the checks.  :func:`compose` and
+:func:`enumerate_compositions` build graphs through one assembly.
 """
 
 from __future__ import annotations
@@ -181,34 +176,20 @@ class DiagGraph(Record):
             raise ValueError("graph contains a closed path")
 
     def has_cycle(self) -> bool:
-        """Explicit cycle search over the vertex-level directed graph."""
+        """Whether the vertex-level graph has a cycle, by Kahn's count of removable vertices."""
         in_owner, out_owner = self.port_owners()
-        succ: dict[int, set[int]] = {i: set() for i in range(len(self.vertices))}
+        succ: list[list[int]] = [[] for _ in self.vertices]
+        indegree = [0] * len(self.vertices)
         for out_p, in_p in self.edges:
-            succ[out_owner[out_p]].add(in_owner[in_p])
-        # Iterative three-color depth-first search.
-        WHITE, GRAY, BLACK = 0, 1, 2
-        color = dict.fromkeys(succ, WHITE)
-        for start in succ:
-            if color[start] != WHITE:
-                continue
-            stack: list[tuple[int, Iterator[int]]] = [(start, iter(succ[start]))]
-            color[start] = GRAY
-            while stack:
-                node, it = stack[-1]
-                advanced = False
-                for nxt in it:
-                    if color[nxt] == GRAY:
-                        return True
-                    if color[nxt] == WHITE:
-                        color[nxt] = GRAY
-                        stack.append((nxt, iter(succ[nxt])))
-                        advanced = True
-                        break
-                if not advanced:
-                    color[node] = BLACK
-                    stack.pop()
-        return False
+            succ[out_owner[out_p]].append(in_owner[in_p])
+            indegree[in_owner[in_p]] += 1
+        removed = [v for v, d in enumerate(indegree) if not d]
+        for v in removed:  # the list grows while it is walked
+            for w in succ[v]:
+                indegree[w] -= 1
+                if not indegree[w]:
+                    removed.append(w)
+        return len(removed) < len(self.vertices)
 
     def __str__(self) -> str:
         return canonical_encode(self).decode("ascii")

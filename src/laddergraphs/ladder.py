@@ -153,15 +153,9 @@ class NormalPolynomial(LinearCombination):
         Exponents must be JSON integers; floats, booleans and strings are
         refused rather than converted.
         """
-        def exponent(value) -> int:
-            if isinstance(value, int) and not isinstance(value, bool):
-                return value
-            raise ValueError(f"monomial exponent must be an integer, got {value!r}")
-
         try:
             return cls(
-                [(NormalMonomial(exponent(t["r"]), exponent(t["s"])),
-                  GaussianRational.from_json(t["coeff"]))
+                [(NormalMonomial(t["r"], t["s"]), GaussianRational.from_json(t["coeff"]))
                  for t in obj]
             )
         except (KeyError, TypeError) as exc:

@@ -116,16 +116,8 @@ def run_oracle_checks(
     words: int = 200,
     graph_pairs: int = 50,
     seed: int = 42,
-    *,
-    corrupt_product: tuple[int, int, int, int, int] | None = None,
 ) -> OracleReport:
-    """Run all oracle checks and return a report.
-
-    ``corrupt_product`` is a fault-injection hook for testing the failure
-    path: ``(r, s, k, l, i)`` bumps the coefficient of the i-th term of the
-    closed-form product for that one basis pair before comparison, which must
-    surface as a reported mismatch.
-    """
+    """Run all oracle checks and return a report."""
     failures: list[str] = []
 
     products = 0
@@ -136,10 +128,6 @@ def run_oracle_checks(
                 for l in range(max_l + 1):
                     products += 1
                     formula = multiply_monomials(NormalMonomial(r, s), NormalMonomial(k, l))
-                    if corrupt_product is not None and corrupt_product[:4] == (r, s, k, l):
-                        terms = list(formula.terms())
-                        mono = terms[corrupt_product[4] % len(terms)][0]
-                        formula = formula + NormalPolynomial.monomial(mono)
                     # One matching size at a time: buckets hold different edge
                     # counts, so distinctness within each is distinctness overall.
                     enumerated, distinct, counts = 0, True, Counter()

@@ -17,10 +17,7 @@ finitely supported map from basis keys to nonzero coefficients, kept pruned
 by :func:`accumulate`.  Normally ordered polynomials and formal sums of
 graphs differ only in their basis, and both multiply through the core's one
 product loop, :func:`_pair_numerators`, on ``int`` numerators over a common
-denominator.  ``LinearCombination._product`` and ``_power``, whose running
-power stays over one denominator, divide once per result term rather than
-build several ``Fraction`` values per basis term they form.  The loop may run
-on lighter keys than a sum stores, mapped back once per result term.
+denominator that is divided out once per result term.
 
 :class:`Record` is the base of the package's small immutable values:
 scalars, monomials, vertices, graphs, expression nodes and oracle reports.

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -125,6 +126,21 @@ def test_nesting_limit():
     with pytest.raises(ParseError) as excinfo:
         parse("( " * 400)
     assert excinfo.value.position == 2 * MAX_NESTING
+
+
+MAX_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.skipif(not MAX_DIGITS, reason="the interpreter converts integers of any length")
+@pytest.mark.parametrize("prefix, suffix", [("a^", ""), ("", " a"), ("ad + 1/", ""),
+                                            ("2 + -", "i a")])
+def test_over_long_literals_are_lexical_errors(prefix, suffix):
+    assert parse(prefix + "7" * MAX_DIGITS + suffix) is not None
+    over = prefix + "7" * (MAX_DIGITS + 1) + suffix
+    with pytest.raises(ParseError, match="lexical error") as excinfo:
+        parse(over)
+    assert excinfo.value.position == len(prefix)
+    assert f"longer than {MAX_DIGITS} digits" in str(excinfo.value)
 
 
 def test_unary_minus_on_letters_is_not_in_the_grammar():

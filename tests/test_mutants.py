@@ -1,0 +1,237 @@
+"""A mutation table: each named fault, patched into the package, must fail its check.
+
+Every row pairs a fault, applied with ``monkeypatch``, with a fast check
+that passes on the package as it is.  Checks signal failure only with
+``assert``, which pytest rewrites in test modules, so each fault is caught
+the same way under ``python -O``.
+"""
+
+import re
+from fractions import Fraction
+from functools import cache
+from math import comb, factorial
+
+import pytest
+
+import reference
+from laddergraphs import exprs, graphs, ladder, scalars
+from laddergraphs.graphs import (
+    DiagGraph,
+    Vertex,
+    build_iteratively,
+    canonical_decode,
+    compose,
+    enumerate_compositions,
+    enumerate_matchings,
+    make_vertex,
+)
+from laddergraphs.ladder import NormalPolynomial
+from laddergraphs.oracles import run_oracle_checks
+from laddergraphs.scalars import LinearCombination
+from test_oracles import corrupt_product
+
+A = NormalPolynomial.monomial((0, 1))
+AD = NormalPolynomial.monomial((1, 0))
+
+
+# -- checks --------------------------------------------------------------------------
+
+def check_cyclic_graphs_are_refused():
+    two_cycle = ((Vertex((0,), (1,)), Vertex((2,), (3,))), ((1, 2), (3, 0)))
+    self_loop = ((Vertex((0,), (1,)),), ((1, 0),))
+    for vertices, edges in (two_cycle, self_loop):
+        try:
+            DiagGraph(vertices, edges)
+        except ValueError as exc:
+            assert "closed path" in str(exc)
+        else:
+            assert False, f"accepted a cyclic graph with edges {edges}"
+
+
+def check_closed_form_sweep():
+    report = run_oracle_checks(2, 2, 2, 2, words=0, graph_pairs=0)
+    assert report.passed, report.lines()
+
+
+def check_expressions_against_reference():
+    # Letter-by-letter folds never reach the i >= 2 summands; powers of letters do.
+    for text, spelled in (("a^2 ad^2", "aaAA"), ("a^3 ad^3", "aaaAAA"),
+                          ("ad a^2 ad^2 a", "AaaAAa")):
+        expected = NormalPolynomial(reference.normal_order_string(spelled))
+        assert exprs.evaluate(exprs.parse(text)) == expected
+
+
+def check_products_are_keyed_by_monomials():
+    assert A * AD == NormalPolynomial({(1, 1): 1, (0, 0): 1})
+
+
+def check_rational_products():
+    half_a = NormalPolynomial({(0, 1): Fraction(1, 2)})
+    assert half_a * half_a == NormalPolynomial({(0, 2): Fraction(1, 4)})
+
+
+def check_powers_are_repeated_products():
+    p = A + AD
+    assert p ** 3 == p * p * p
+    assert p ** 1 == p
+
+
+def check_cancellation_leaves_no_terms():
+    x = NormalPolynomial({(0, 1): 1, (1, 0): 2})
+    assert len(x - x) == 0
+    assert x - x == NormalPolynomial.zero()
+
+
+def check_decoder_refuses_leading_zeros():
+    assert canonical_decode(b"V:0/1|E:|I:1|O:0") == make_vertex(1, 1)
+    for data in (b"V:00/1|E:|I:1|O:00", b"V:0/01|E:|I:01|O:0"):
+        try:
+            canonical_decode(data)
+        except ValueError as exc:
+            assert "malformed port label" in str(exc)
+        else:
+            assert False, f"decoded the non-canonical {data!r}"
+
+
+def check_format_round_trips():
+    for p in (AD.scale(-1) + A, A.scale(Fraction(-1, 2)), (A - AD) ** 2):
+        assert exprs.evaluate(exprs.parse(exprs.format_polynomial(p))) == p
+
+
+def _fields(g: DiagGraph) -> tuple:
+    return (tuple((v.in_ports, v.out_ports) for v in g.vertices),
+            g.edges, g.dangling_in, g.dangling_out)
+
+
+COMPOSITION_PAIRS = [
+    (make_vertex(0, 3), make_vertex(3, 0)),
+    # three grays listed out of label order, which composition must keep
+    (DiagGraph((Vertex((0, 1, 2), ()),), dangling_in=(2, 0, 1)), make_vertex(2, 0)),
+    # an edge inside the second graph, whose out-port lies between its whites
+    (make_vertex(2, 2), build_iteratively([(1, 1, 0), (2, 1, 1)])),
+]
+
+
+def check_compositions_against_reference():
+    for g1, g2 in COMPOSITION_PAIRS:
+        matchings = list(enumerate_matchings(g1.dangling_in, g2.dangling_out))
+        composed = enumerate_compositions(g1, g2)
+        assert composed == [compose(g1, g2, m) for m in matchings]
+        assert [_fields(g) for g in composed] == [
+            reference.compose_fields(_fields(g1), _fields(g2), m) for m in matchings]
+
+
+# -- faults --------------------------------------------------------------------------
+
+def _basis_product_range_off_by_one(m1, m2):
+    (r, s), (k, l) = m1, m2
+    return tuple(((r + k - i, s + l - i), factorial(i) * comb(s, i) * comb(k, i))
+                 for i in range(min(k, s)))
+
+
+def _basis_product_without_factorial(m1, m2):
+    (r, s), (k, l) = m1, m2
+    return tuple(((r + k - i, s + l - i), comb(s, i) * comb(k, i))
+                 for i in range(min(k, s) + 1))
+
+
+def _accumulate_keeping_zeros(acc, key, coeff):
+    total = acc.get(key)
+    acc[key] = coeff if total is None else total + coeff
+
+
+def _wrap(monkeypatch, owner, name, make):
+    """Replace ``owner.name`` by ``make(original)``."""
+    monkeypatch.setattr(owner, name, make(getattr(owner, name)))
+
+
+def _uninterleaved_pairings(monkeypatch):
+    # Sort key (gray 0, gray 1, ..., white of gray 0, ...) instead of interleaved.
+    def pairing(perm):
+        n = len(perm)
+        return graphs._picker(list(range(n)) + [n + w for w in perm]), true_pairing(perm)[1]
+
+    true_pairing = graphs._pairing
+    monkeypatch.setattr(graphs, "_pairing", pairing)
+    monkeypatch.setattr(graphs, "_pairings", cache(graphs._pairings.__wrapped__))
+
+
+def _assembler_on(monkeypatch, first, second):
+    """Assemble compositions from ``first(g1)`` and ``second(g2)`` instead of the operands."""
+    true_assembler = graphs._assembler
+    monkeypatch.setattr(graphs, "_assembler", lambda g1, g2: true_assembler(first(g1), second(g2)))
+
+
+def _same(g: DiagGraph) -> DiagGraph:
+    return g
+
+
+def _without_edges(g: DiagGraph) -> DiagGraph:
+    return DiagGraph._trusted(g.vertices, (), g.dangling_in, g.dangling_out)
+
+
+def _grays_sorted(g: DiagGraph) -> DiagGraph:
+    return DiagGraph._trusted(g.vertices, g.edges, tuple(sorted(g.dangling_in)), g.dangling_out)
+
+
+FAULTS = {
+    "has_cycle always False": (
+        lambda mp: mp.setattr(DiagGraph, "has_cycle", lambda self: False),
+        check_cyclic_graphs_are_refused),
+    "_basis_product range off by one": (
+        lambda mp: mp.setattr(ladder, "_basis_product", _basis_product_range_off_by_one),
+        check_closed_form_sweep),
+    "_basis_product without factorial(i)": (
+        lambda mp: mp.setattr(ladder, "_basis_product", _basis_product_without_factorial),
+        check_expressions_against_reference),
+    "identity NormalPolynomial._stored_key": (
+        lambda mp: mp.setattr(NormalPolynomial, "_stored_key", staticmethod(lambda key: key)),
+        check_products_are_keyed_by_monomials),
+    "_from_numerators ignores den": (
+        lambda mp: _wrap(mp, LinearCombination, "_from_numerators",
+                         lambda true: lambda self, den, terms: true(self, 1, terms)),
+        check_rational_products),
+    "_power one step short": (
+        lambda mp: _wrap(mp, LinearCombination, "_power",
+                         lambda true: lambda self, n, *rest: true(self, max(n - 1, 0), *rest)),
+        check_powers_are_repeated_products),
+    "LinearCombination keeps zero terms": (
+        lambda mp: mp.setattr(scalars, "accumulate", _accumulate_keeping_zeros),
+        check_cancellation_leaves_no_terms),
+    "canonical_decode accepts a leading zero": (
+        lambda mp: mp.setattr(graphs, "_canonical_label", re.compile(r"[0-9]+").fullmatch),
+        check_decoder_refuses_leading_zeros),
+    "corrupted closed form in the oracle sweep": (
+        lambda mp: corrupt_product(mp, 2, 1, 2, 2, 1),
+        check_closed_form_sweep),
+    "format_polynomial drops a leading minus": (
+        lambda mp: _wrap(mp, exprs, "format_polynomial",
+                         lambda true: lambda p: true(p).removeprefix("-")),
+        check_format_round_trips),
+    "_pairing sort key not interleaved": (
+        _uninterleaved_pairings,
+        check_compositions_against_reference),
+    "second operand's edges dropped": (
+        lambda mp: _assembler_on(mp, _same, _without_edges),
+        check_compositions_against_reference),
+    "shift by port_count - 1": (
+        lambda mp: _wrap(mp, DiagGraph, "port_count",
+                         lambda true: property(lambda g: true.fget(g) - 1)),
+        check_compositions_against_reference),
+    "remaining grays sorted, not in dangling_in order": (
+        lambda mp: _assembler_on(mp, _grays_sorted, _same),
+        check_compositions_against_reference),
+}
+
+
+@pytest.mark.parametrize("name", FAULTS)
+def test_check_passes_without_the_fault(name):
+    FAULTS[name][1]()
+
+
+@pytest.mark.parametrize("name", FAULTS)
+def test_fault_fails_its_check(name, monkeypatch):
+    fault, check = FAULTS[name]
+    fault(monkeypatch)
+    with pytest.raises(AssertionError):
+        check()

@@ -1,5 +1,7 @@
 import random
 
+from laddergraphs import oracles
+from laddergraphs.ladder import NormalPolynomial
 from laddergraphs.oracles import OracleReport, random_graph, random_word, run_oracle_checks
 
 
@@ -13,9 +15,23 @@ def test_full_run_passes():
     assert report.lines() == [report.summary()]
 
 
-def test_fault_injection_is_reported():
-    report = run_oracle_checks(2, 2, 2, 2, words=0, graph_pairs=0,
-                               corrupt_product=(2, 1, 2, 2, 1))
+def corrupt_product(monkeypatch, r, s, k, l, i):
+    """Bump the i-th term of the closed-form product ``(r, s) * (k, l)`` as the oracles see it."""
+    true_product = oracles.multiply_monomials
+
+    def corrupted(m1, m2):
+        formula = true_product(m1, m2)
+        if (m1.r, m1.s, m2.r, m2.s) == (r, s, k, l):
+            terms = list(formula.terms())
+            formula = formula + NormalPolynomial.monomial(terms[i % len(terms)][0])
+        return formula
+
+    monkeypatch.setattr(oracles, "multiply_monomials", corrupted)
+
+
+def test_fault_injection_is_reported(monkeypatch):
+    corrupt_product(monkeypatch, 2, 1, 2, 2, 1)
+    report = run_oracle_checks(2, 2, 2, 2, words=0, graph_pairs=0)
     assert not report.passed
     assert len(report.failures) == 1
     assert report.summary().startswith("FAIL")
@@ -26,9 +42,9 @@ def test_fault_injection_is_reported():
     assert "2 ad^3 a^2" in report.failures[0]
 
 
-def test_fault_injection_outside_bounds_changes_nothing():
-    report = run_oracle_checks(1, 1, 1, 1, words=0, graph_pairs=0,
-                               corrupt_product=(5, 5, 5, 5, 0))
+def test_fault_injection_outside_bounds_changes_nothing(monkeypatch):
+    corrupt_product(monkeypatch, 5, 5, 5, 5, 0)
+    report = run_oracle_checks(1, 1, 1, 1, words=0, graph_pairs=0)
     assert report.passed
 
 
