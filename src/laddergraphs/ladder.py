@@ -20,6 +20,7 @@ as one interned :class:`NormalMonomial`.  All arithmetic is exact.
 Free (unordered) words in the two generators are normalized by two
 independent strategies, a rewrite engine and a fold over basis products,
 which are cross-checked against each other in :func:`normal_order_word`.
+The rewrite engine takes words by descending inversion count, each once.
 """
 
 from __future__ import annotations
@@ -235,30 +236,28 @@ _SPELLING = {Letter.ANNIHILATOR: "a", Letter.CREATOR: "d"}
 def normal_order_rewrite(word: Word) -> NormalPolynomial:
     """Normal ordering by term rewriting on formal sums of words.
 
-    One rewrite replaces the leftmost (lowering, raising) pair of a word by
-    the swapped pair plus the word with the pair deleted.  Each step strictly
-    reduces (inversions, length) lexicographically, so the loop terminates;
-    uniqueness of the normal form makes the rewrite order irrelevant.  Words
-    are spelled as strings, ``"a"`` for lowering and ``"d"`` for raising, so
-    the leftmost inversion is the leftmost ``"ad"``.  An element that is not
-    a :class:`Letter` raises ``TypeError``.
+    One rewrite replaces the leftmost (lowering, raising) pair, spelled
+    ``"ad"``, by the swapped pair plus the word with the pair deleted.  Both
+    lower the inversion count (an ``"a"`` left of a ``"d"``): the swap by 1,
+    the deletion by 1 plus the ``"a"``s before and ``"d"``s after the pair.
+    So the loop terminates, and words taken by descending count are each
+    rewritten once, after every word that rewrites into them, with their
+    total coefficient.  A non-:class:`Letter` element raises ``TypeError``.
     """
     try:
         spelled = "".join([_SPELLING[letter] for letter in word])
     except (KeyError, TypeError):
         raise TypeError(f"a word is a sequence of Letter members, got {word!r}") from None
-    pending: dict[str, int] = {spelled: 1}
-    normal: dict[str, int] = {}
-    while pending:
-        w, c = pending.popitem()
-        i = w.find("ad")
-        if i < 0:
-            accumulate(normal, w, c)
-            continue
-        accumulate(pending, w[:i] + "da" + w[i + 2:], c)
-        accumulate(pending, w[:i] + w[i + 2:], c)
+    top = sum(spelled.count("a", 0, j) for j, x in enumerate(spelled) if x == "d")
+    levels: dict[int, dict[str, int]] = {top: {spelled: 1}}  # sparse: few levels are reached
+    for level in range(top, 0, -1):
+        for w, c in levels.pop(level, {}).items():
+            i = w.find("ad")
+            accumulate(levels.setdefault(level - 1, {}), w[:i] + "da" + w[i + 2:], c)
+            drop = 1 + w.count("a", 0, i) + w.count("d", i + 2)
+            accumulate(levels.setdefault(level - drop, {}), w[:i] + w[i + 2:], c)
     return NormalPolynomial(
-        (NormalMonomial(w.count("d"), w.count("a")), c) for w, c in normal.items()
+        (NormalMonomial(w.count("d"), w.count("a")), c) for w, c in levels[0].items()
     )
 
 

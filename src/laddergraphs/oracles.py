@@ -5,8 +5,8 @@ Three families of checks, all exact and all deterministic for a fixed seed:
 * an exhaustive sweep over one-vertex products, comparing the closed-form
   basis product against composition enumeration followed by projection, and
   the enumerated composition count against its closed-form formula;
-* random letter words normally ordered three ways (pairwise rewriting, folding
-  over basis products, graph composition);
+* random letter words normally ordered three ways (rewriting, folding over
+  basis products, graph composition) and as the product of their letter runs;
 * random multi-vertex graph pairs, checking that projection of the composed
   sum equals the product of the projections.
 
@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from itertools import groupby
+from math import prod
 
 from .exprs import format_polynomial
 from .graphs import (  # noqa: F401 (perfbench/tracing.py wraps enumerate_* by name here)
@@ -160,11 +162,15 @@ def run_oracle_checks(
         by_rewrite = normal_order_rewrite(word)
         by_fold = normal_order_fold(word)
         by_graphs = normal_order_via_graphs(word)
-        if not (by_rewrite == by_fold == by_graphs):
+        # a a ad ad ad a as (0,2)(3,0)(0,1): unlike the fold, this reaches i >= 2 summands
+        by_runs = prod((NormalPolynomial.monomial(x.monomial) ** len(list(run))
+                        for x, run in groupby(word)), start=NormalPolynomial.one())
+        if not (by_rewrite == by_fold == by_graphs == by_runs):
             failures.append(
                 f"word {_word_str(word)}: rewrite [{format_polynomial(by_rewrite)}] "
                 f"vs fold [{format_polynomial(by_fold)}] "
-                f"vs graphs [{format_polynomial(by_graphs)}]"
+                f"vs graphs [{format_polynomial(by_graphs)}] "
+                f"vs letter runs [{format_polynomial(by_runs)}]"
             )
 
     for pair_no in range(graph_pairs):

@@ -33,6 +33,8 @@ coeffs = st.builds(
 )
 polys = st.builds(NormalPolynomial, st.lists(st.tuples(monomials, coeffs), max_size=4))
 words = st.lists(st.sampled_from(list(Letter)), max_size=10).map(tuple)
+# Up to 144 inversions: out of reach for a rewrite route that revisits words.
+long_words = st.lists(st.sampled_from(list(Letter)), max_size=24).map(tuple)
 
 
 def as_poly(table: dict) -> NormalPolynomial:
@@ -388,17 +390,32 @@ def test_normal_order_frozen_values():
     assert normal_order_word(()) == NormalPolynomial.one()
 
 
-@given(words)
+@given(long_words)
 @settings(deadline=None)
 def test_rewrite_and_fold_strategies_agree(word):
     assert normal_order_rewrite(word) == normal_order_fold(word)
 
 
-@given(words)
+@given(long_words)
 @settings(deadline=None)
 def test_normal_order_against_string_rewriter(word):
     text = "".join("a" if x is Letter.ANNIHILATOR else "A" for x in word)
     assert normal_order_word(word) == as_poly(reference.normal_order_string(text))
+
+
+def test_rewrite_of_lowering_then_raising_powers_is_the_closed_form():
+    # a^12 ad^12 has 144 inversions; each distinct word is rewritten once.
+    for s in range(13):
+        for k in range(13):
+            word = (Letter.ANNIHILATOR,) * s + (Letter.CREATOR,) * k
+            assert normal_order_rewrite(word) == multiply_monomials((0, s), (k, 0)), (s, k)
+
+
+def test_rewrite_of_alternating_powers_is_the_fold():
+    for base in (word_from_str("a ad"), word_from_str("ad a")):
+        for n in range(13):
+            word = power_word(base, n)
+            assert normal_order_rewrite(word) == normal_order_fold(word), (base, n)
 
 
 @pytest.mark.parametrize(

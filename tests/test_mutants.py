@@ -6,6 +6,7 @@ that passes on the package as it is.  Checks signal failure only with
 the same way under ``python -O``.
 """
 
+import inspect
 import re
 from fractions import Fraction
 from functools import cache
@@ -25,7 +26,7 @@ from laddergraphs.graphs import (
     enumerate_matchings,
     make_vertex,
 )
-from laddergraphs.ladder import NormalPolynomial
+from laddergraphs.ladder import Letter, NormalPolynomial
 from laddergraphs.oracles import run_oracle_checks
 from laddergraphs.scalars import LinearCombination
 from test_oracles import corrupt_product
@@ -59,6 +60,19 @@ def check_expressions_against_reference():
                           ("ad a^2 ad^2 a", "AaaAAa")):
         expected = NormalPolynomial(reference.normal_order_string(spelled))
         assert exprs.evaluate(exprs.parse(text)) == expected
+
+
+def check_word_family():
+    # A one-product sweep: only the word family can see a fault in the closed form.
+    report = run_oracle_checks(0, 0, 0, 0, words=200, graph_pairs=0, seed=17)
+    assert report.passed, report.lines()
+
+
+def check_rewrite_against_reference():
+    for spelled in ("aA", "aaAA", "AaaA", "aAaAa"):
+        word = tuple(Letter.ANNIHILATOR if x == "a" else Letter.CREATOR for x in spelled)
+        expected = NormalPolynomial(reference.normal_order_string(spelled))
+        assert ladder.normal_order_rewrite(word) == expected
 
 
 def check_products_are_keyed_by_monomials():
@@ -145,6 +159,19 @@ def _wrap(monkeypatch, owner, name, make):
     monkeypatch.setattr(owner, name, make(getattr(owner, name)))
 
 
+def _rewrite_without(successor):
+    """A fault: ``normal_order_rewrite`` recompiled with the line adding ``successor`` as ``pass``."""
+    def fault(monkeypatch):
+        source = inspect.getsource(ladder.normal_order_rewrite)
+        pattern = rf"^( +)accumulate\(.*, {re.escape(successor)}, c\)$"
+        source, found = re.subn(pattern, r"\1pass", source, flags=re.M)
+        assert found == 1, f"no single line adds {successor} in normal_order_rewrite"
+        namespace = dict(vars(ladder))
+        exec(source, namespace)
+        monkeypatch.setattr(ladder, "normal_order_rewrite", namespace["normal_order_rewrite"])
+    return fault
+
+
 def _uninterleaved_pairings(monkeypatch):
     # Sort key (gray 0, gray 1, ..., white of gray 0, ...) instead of interleaved.
     def pairing(perm):
@@ -184,6 +211,15 @@ FAULTS = {
     "_basis_product without factorial(i)": (
         lambda mp: mp.setattr(ladder, "_basis_product", _basis_product_without_factorial),
         check_expressions_against_reference),
+    "_basis_product without factorial(i), seen by the oracle's words": (
+        lambda mp: mp.setattr(ladder, "_basis_product", _basis_product_without_factorial),
+        check_word_family),
+    "rewrite drops the deletion successor, the + 1 of a ad = ad a + 1": (
+        _rewrite_without("w[:i] + w[i + 2:]"),
+        check_rewrite_against_reference),
+    "rewrite drops the swap successor": (
+        _rewrite_without('w[:i] + "da" + w[i + 2:]'),
+        check_rewrite_against_reference),
     "identity NormalPolynomial._stored_key": (
         lambda mp: mp.setattr(NormalPolynomial, "_stored_key", staticmethod(lambda key: key)),
         check_products_are_keyed_by_monomials),
