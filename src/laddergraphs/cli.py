@@ -21,9 +21,11 @@ import json
 import os
 import sys
 from collections import Counter
+from itertools import chain
 
 from .exprs import ParseError, evaluate, format_polynomial, parse
 from .graphs import (
+    _composition_buckets,
     build_iteratively,
     enumerate_compositions,
     graph_to_dot,
@@ -82,8 +84,12 @@ def _cmd_commutator(args: argparse.Namespace) -> int:
 def _cmd_compose(args: argparse.Namespace) -> int:
     left = make_vertex(args.r, args.s)
     right = make_vertex(args.k, args.l)
-    compositions = enumerate_compositions(left, right)
+    if args.json or args.dot is not None:
+        compositions = enumerate_compositions(left, right)
+    else:  # only counts are printed, so one matching size is held at a time
+        compositions = chain.from_iterable(_composition_buckets(left, right))
     counts = Counter(map(project, compositions))
+    n = sum(counts.values())
     projection = NormalPolynomial(counts.items())
     # The compositions with i joined lines are those that project to (r+k-i, s+l-i).
     classes = sorted((args.r + args.k - mono.r, count, mono) for mono, count in counts.items())
@@ -91,7 +97,7 @@ def _cmd_compose(args: argparse.Namespace) -> int:
         _print_json({
             "left": {"r": args.r, "s": args.s},
             "right": {"r": args.k, "s": args.l},
-            "count": len(compositions),
+            "count": n,
             "classes": [
                 {"i": i, "count": count, "r": mono.r, "s": mono.s} for i, count, mono in classes
             ],
@@ -99,19 +105,18 @@ def _cmd_compose(args: argparse.Namespace) -> int:
             "projection": projection.to_json(),
         })
     else:
-        n = len(compositions)
         print(f"({args.r},{args.s}) o ({args.k},{args.l}): {n} composition{'' if n == 1 else 's'}")
         for i, count, mono in classes:
             print(f"i={i}: {count} -> ({mono.r},{mono.s})")
         print(f"projection: {format_polynomial(projection)}")
     if args.dot is not None:
         os.makedirs(args.dot, exist_ok=True)
-        width = max(len(str(len(compositions) - 1)), 1)
+        width = max(len(str(n - 1)), 1)
         for index, g in enumerate(compositions):
             path = os.path.join(args.dot, f"composition_{index:0{width}d}.dot")
             with open(path, "w", encoding="ascii") as handle:
                 handle.write(graph_to_dot(g, name=f"composition_{index}"))
-        print(f"wrote {len(compositions)} dot files to {args.dot}")
+        print(f"wrote {n} dot files to {args.dot}")
     return 0
 
 

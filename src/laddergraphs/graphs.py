@@ -35,15 +35,17 @@ for cycles, under ``python -O`` too.  Graphs the package builds itself --
 construction (fresh labels, a shift that keeps the operands apart, new edges
 only from ``g2`` into ``g1``) and go through the private
 ``DiagGraph._trusted``, which skips the checks.  :func:`compose` and
-:func:`enumerate_compositions` build graphs through one assembly.
+:func:`enumerate_compositions` build graphs through one assembly; enumeration
+puts them in matching order by an order cached once per gray/white shape.
 """
 
 from __future__ import annotations
 
 import re
+from array import array
 from functools import cache, reduce
-from itertools import chain, combinations, islice, permutations, product, repeat
-from math import comb, factorial
+from itertools import chain, combinations, permutations, product, repeat
+from math import comb, factorial, perm
 from operator import itemgetter, mul
 from typing import Callable, Iterable, Iterator
 
@@ -279,11 +281,10 @@ def _pairing(perm: tuple[int, ...]) -> tuple[Picker, Picker]:
     """Two pickers for one way of joining ``n`` sorted grays to ``n`` sorted whites.
 
     ``perm[j]`` is the index of the white joined to gray ``j``.  The first
-    picker takes ``grays + whites`` to the matching's sort key
-    ``(gray 0, its white, gray 1, its white, ...)``, which orders matchings
-    as :func:`enumerate_matchings` does.  The second takes the row-major
-    table ``product(whites, grays)`` of candidate edges to the joined edges,
-    sorted by white, that is by out-port.
+    picker takes ``grays + whites`` to the sort key of :func:`_bucket_order`,
+    ``(gray 0, its white, gray 1, its white, ...)``.  The second takes the
+    row-major table ``product(whites, grays)`` of candidate edges to the
+    joined edges, sorted by white, that is by out-port.
     """
     n = len(perm)
     key = [index for gray, white in enumerate(perm) for index in (gray, n + white)]
@@ -297,6 +298,22 @@ def _pairings(size: int) -> tuple[tuple[Picker, Picker], ...]:
     return tuple(_pairing(perm) for perm in permutations(range(size)))
 
 
+@cache  # 8 bytes per matching of each shape asked for
+def _bucket_order(n_gray: int, n_white: int, size: int) -> memoryview:
+    """Where one bucket's matchings sit in ``assemble``'s loop order, read-only.
+
+    Loop order is gray combination, white combination, pairing; the positions
+    come in :func:`enumerate_matchings` order.  Grays and whites are sorted,
+    so labels compare as their positions do and the order depends on the
+    shape alone.
+    """
+    keys = [key_of(grays + whites)
+            for grays in combinations(range(n_gray), size)
+            for whites in combinations(range(n_white), size)
+            for key_of, _ in _pairings(size)]
+    return memoryview(array("Q", sorted(range(len(keys)), key=keys.__getitem__))).toreadonly()
+
+
 def _assembler(g1: DiagGraph, g2: DiagGraph) -> Callable[..., list[DiagGraph]]:
     """The compositions of ``g1`` with ``g2``, by gray and white combination.
 
@@ -305,7 +322,7 @@ def _assembler(g1: DiagGraph, g2: DiagGraph) -> Callable[..., list[DiagGraph]]:
     takes gray combinations (sorted labels of ``g1``) and white combinations
     (sorted labels of ``g2``) of one size and applies every given
     :func:`_pairing` to each gray/white pair of them.  It returns the
-    compositions sorted by matching.  The matchings must be valid
+    compositions in that loop order.  The matchings must be valid
     (:func:`compose` checks a caller's); every result is then valid by
     construction and built with ``DiagGraph._trusted``.
     """
@@ -326,20 +343,18 @@ def _assembler(g1: DiagGraph, g2: DiagGraph) -> Callable[..., list[DiagGraph]]:
         for whites in white_combos:
             shifted = tuple([p + shift for p in whites])
             rest = g1_whites + tuple([p for p in g2_whites if p not in shifted])
-            by_white.append((whites, shifted, rest))
-        keyed = []
-        append = keyed.append
+            by_white.append((shifted, rest))
+        built = []
+        append = built.append
         for grays in gray_combos:
             dangling_in = tuple([p for p in g1_grays if p not in grays]) + g2_grays
-            for whites, shifted, dangling_out in by_white:
-                both = grays + whites
+            for shifted, dangling_out in by_white:
                 candidates = tuple(product(shifted, grays))
-                for key_of, joined_of in pairings:
+                for _, joined_of in pairings:
                     joined = joined_of(candidates)
                     edges = g1_edges + (tuple(sorted(joined + g2_edges)) if g2_edges else joined)
-                    append((key_of(both), trusted(vertices, edges, dangling_in, dangling_out)))
-        keyed.sort(key=itemgetter(0))
-        return [graph for _, graph in keyed]
+                    append(trusted(vertices, edges, dangling_in, dangling_out))
+        return built
 
     return assemble
 
@@ -347,13 +362,17 @@ def _assembler(g1: DiagGraph, g2: DiagGraph) -> Callable[..., list[DiagGraph]]:
 def _composition_buckets(g1: DiagGraph, g2: DiagGraph) -> Iterator[list[DiagGraph]]:
     """:func:`enumerate_compositions`, one list per matching size.
 
-    Compositions in different buckets have different edge counts, so no
-    graph is in two buckets.
+    Each bucket is put in matching order by its shape's :func:`_bucket_order`.
+    Buckets differ in edge count, so no graph is in two of them.
     """
     assemble = _assembler(g1, g2)
     grays, whites = sorted(g1.dangling_in), sorted(g2.dangling_out)
     for size in range(min(len(grays), len(whites)) + 1):
-        yield assemble(combinations(grays, size), combinations(whites, size), _pairings(size))
+        # The order first, so that its sort keys are gone before the bucket is built.
+        order = _bucket_order(len(grays), len(whites), size)
+        built = assemble(combinations(grays, size), combinations(whites, size), _pairings(size))
+        yield [built[i] for i in order]
+        del built  # not held here while the next bucket is built
 
 
 def compose(g1: DiagGraph, g2: DiagGraph, matching: Matching) -> DiagGraph:
@@ -395,8 +414,24 @@ def enumerate_compositions(g1: DiagGraph, g2: DiagGraph) -> list[DiagGraph]:
 
 
 def _nth_matching(grays: Iterable[int], whites: Iterable[int], index: int) -> Matching:
-    """The matching at ``index`` in :func:`enumerate_matchings` order."""
-    return next(islice(enumerate_matchings(grays, whites), index, None))
+    """The matching at ``index`` in :func:`enumerate_matchings` order, or ``ValueError``."""
+    grays, whites = sorted(grays), sorted(whites)
+    for size in range(min(len(grays), len(whites)) + 1):
+        count = comb(len(grays), size) * perm(len(whites), size)
+        if 0 <= index < count:
+            break
+        index -= count
+    else:
+        raise ValueError("matching index out of range")
+    matching = []
+    for left in reversed(range(size)):  # pairs still to choose after this one
+        # The matchings whose next pair takes grays[0]: the other pairs take later grays.
+        while index >= (block := comb(len(grays) - 1, left) * perm(len(whites), left + 1)):
+            index -= block
+            del grays[0]
+        white, index = divmod(index, block // len(whites))
+        matching.append((grays.pop(0), whites.pop(white)))
+    return tuple(matching)
 
 
 def build_iteratively(steps: Iterable[tuple[int, int, int]]) -> DiagGraph:

@@ -12,6 +12,8 @@ from laddergraphs.graphs import (
     DiagGraph,
     GraphSum,
     Vertex,
+    _bucket_order,
+    _nth_matching,
     build_iteratively,
     canonical_decode,
     canonical_encode,
@@ -351,6 +353,45 @@ def test_enumeration_is_compose_over_every_matching(g1, g2):
         assert canonical_encode(ours) == canonical_encode(theirs)
         # compose and enumeration share their assembly; check it from the definition
         assert fields(ours) == reference.compose_fields(fields(g1), fields(g2), matching)
+
+
+def order_operands(n_gray: int, n_white: int) -> tuple[DiagGraph, DiagGraph]:
+    """``g1`` with ``n_gray`` odd-labelled grays listed in reverse, and ``g2`` with
+    ``n_white`` whites, also in reverse, around an inner edge from its middle out-port."""
+    odd, even = tuple(range(1, 2 * n_gray, 2)), tuple(range(0, 2 * n_gray, 2))
+    g1 = DiagGraph((Vertex(odd, even),), (), odd[::-1], even)
+    inner = n_white // 2
+    g2 = DiagGraph((Vertex((), tuple(range(n_white + 1))), Vertex((n_white + 1,), ())),
+                   ((inner, n_white + 1),), (),
+                   tuple(p for p in reversed(range(n_white + 1)) if p != inner))
+    return g1, g2
+
+
+SHAPES_UP_TO_FIVE = [(n_gray, n_white) for n_gray in range(6) for n_white in range(6)]
+
+
+@pytest.mark.parametrize("transposed_first", [False, True])
+def test_enumeration_order_on_every_shape_up_to_five(transposed_first):
+    for n_gray, n_white in SHAPES_UP_TO_FIVE:
+        if transposed_first:
+            _bucket_order.cache_clear()
+            enumerate_compositions(*order_operands(n_white, n_gray))
+        g1, g2 = order_operands(n_gray, n_white)
+        matchings = enumerate_matchings(g1.dangling_in, g2.dangling_out)
+        assert enumerate_compositions(g1, g2) == [compose(g1, g2, m) for m in matchings]
+
+
+def test_nth_matching_unranks_every_index():
+    for n_gray, n_white in SHAPES_UP_TO_FIVE:
+        grays, whites = range(2 * n_gray, 0, -2), range(1, 3 * n_white, 3)
+        matchings = list(enumerate_matchings(grays, whites))
+        assert [_nth_matching(grays, whites, i) for i in range(len(matchings))] == matchings
+        for index in (-1, len(matchings)):
+            with pytest.raises(ValueError):
+                _nth_matching(grays, whites, index)
+    # the last of 53 334 454 417, which no enumeration reaches
+    last = _nth_matching(range(12), range(12), count_matchings(12, 12) - 1)
+    assert last == tuple(zip(range(12), reversed(range(12))))
 
 
 def test_composition_edges_point_from_second_into_first():

@@ -159,21 +159,27 @@ def _wrap(monkeypatch, owner, name, make):
     monkeypatch.setattr(owner, name, make(getattr(owner, name)))
 
 
-def _rewrite_without(successor):
-    """A fault: ``normal_order_rewrite`` recompiled with the line adding ``successor`` as ``pass``."""
+def _recompiled(module, name, pattern, replacement):
+    """A fault: ``module.name`` recompiled with the one match of ``pattern`` replaced."""
     def fault(monkeypatch):
-        source = inspect.getsource(ladder.normal_order_rewrite)
-        pattern = rf"^( +)accumulate\(.*, {re.escape(successor)}, c\)$"
-        source, found = re.subn(pattern, r"\1pass", source, flags=re.M)
-        assert found == 1, f"no single line adds {successor} in normal_order_rewrite"
-        namespace = dict(vars(ladder))
+        source = inspect.getsource(getattr(module, name))
+        source, found = re.subn(pattern, replacement, source, flags=re.M)
+        assert found == 1, f"no single match of {pattern!r} in {name}"
+        namespace = dict(vars(module))
         exec(source, namespace)
-        monkeypatch.setattr(ladder, "normal_order_rewrite", namespace["normal_order_rewrite"])
+        monkeypatch.setattr(module, name, namespace[name])
     return fault
 
 
+def _rewrite_without(successor):
+    """A fault: ``normal_order_rewrite`` with the line adding ``successor`` as ``pass``."""
+    return _recompiled(ladder, "normal_order_rewrite",
+                       rf"^( +)accumulate\(.*, {re.escape(successor)}, c\)$", r"\1pass")
+
+
 def _uninterleaved_pairings(monkeypatch):
-    # Sort key (gray 0, gray 1, ..., white of gray 0, ...) instead of interleaved.
+    # Sort key (gray 0, gray 1, ..., white of gray 0, ...) instead of interleaved;
+    # fresh caches, so the key reaches the order of every bucket.
     def pairing(perm):
         n = len(perm)
         return graphs._picker(list(range(n)) + [n + w for w in perm]), true_pairing(perm)[1]
@@ -181,6 +187,7 @@ def _uninterleaved_pairings(monkeypatch):
     true_pairing = graphs._pairing
     monkeypatch.setattr(graphs, "_pairing", pairing)
     monkeypatch.setattr(graphs, "_pairings", cache(graphs._pairings.__wrapped__))
+    monkeypatch.setattr(graphs, "_bucket_order", cache(graphs._bucket_order.__wrapped__))
 
 
 def _assembler_on(monkeypatch, first, second):
@@ -256,6 +263,14 @@ FAULTS = {
         check_compositions_against_reference),
     "remaining grays sorted, not in dangling_in order": (
         lambda mp: _assembler_on(mp, _grays_sorted, _same),
+        check_compositions_against_reference),
+    "g2's edges appended unsorted": (
+        _recompiled(graphs, "_assembler", r"tuple\(sorted\(joined \+ g2_edges\)\)",
+                    "joined + g2_edges"),
+        check_compositions_against_reference),
+    "order of the transposed shape": (
+        lambda mp: _wrap(mp, graphs, "_bucket_order",
+                         lambda true: lambda n_gray, n_white, size: true(n_white, n_gray, size)),
         check_compositions_against_reference),
 }
 
