@@ -21,6 +21,11 @@ between the two representations.  Formal sums of graphs (:class:`GraphSum`)
 and the polynomials they project onto share one sparse linear-combination
 core, :class:`~laddergraphs.scalars.LinearCombination`.
 
+:func:`normal_order_via_graphs`, the third normal-ordering route beside the
+rewrite and the fold of :mod:`laddergraphs.ladder`, walks a word's
+compositions depth first: no graph on the way is hashed or given a
+coefficient.
+
 Port labels are assigned at vertex creation and never collide: the right
 operand of a composition is embedded by shifting its labels up by the left
 operand's port count.  The shift is order-preserving and additive, so label
@@ -43,14 +48,15 @@ from __future__ import annotations
 
 import re
 from array import array
-from functools import cache, reduce
+from collections import Counter
+from functools import cache
 from itertools import chain, combinations, permutations, product, repeat
 from math import comb, factorial, perm
-from operator import itemgetter, mul
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator
 
 from .ladder import NormalMonomial, NormalPolynomial, Word, _monomial
-from .scalars import ONE, LinearCombination, Record, ScalarLike
+from .scalars import ONE, LinearCombination, Record, ScalarLike, _integer_numerators
 
 Matching = tuple[tuple[int, int], ...]  # (gray in-port of g1, white out-port of g2) pairs
 Picker = Callable[[tuple], tuple]
@@ -508,15 +514,55 @@ def project(g: DiagGraph) -> NormalMonomial:
     return _monomial(len(g.dangling_out), len(g.dangling_in))
 
 
+def _shape(g: DiagGraph) -> tuple[int, int]:
+    """:func:`project` as a plain ``(whites, grays)`` pair, a polynomial's loop key."""
+    return len(g.dangling_out), len(g.dangling_in)
+
+
 def project_sum(x: GraphSum) -> NormalPolynomial:
-    """Linear extension of :func:`project`; an algebra homomorphism."""
-    return NormalPolynomial((project(g), c) for g, c in x._terms.items())
+    """Linear extension of :func:`project`; an algebra homomorphism.
+
+    The coefficients are added per projection as integer numerators over
+    their common denominator; each nonzero sum is divided once.
+    """
+    den, numerators = _integer_numerators(x._terms, _shape)
+    sums: dict = {}
+    for key, re, im in numerators:
+        total = sums.get(key)
+        if total is None:
+            sums[key] = [re, im]
+        else:
+            total[0] += re
+            total[1] += im
+    return NormalPolynomial.zero()._from_numerators(
+        den, [(key, re, im) for key, (re, im) in sums.items() if re or im])
 
 
 def normal_order_via_graphs(word: Word) -> NormalPolynomial:
-    """Third normal-ordering route: compose one-vertex graphs, then project."""
-    vertices = (make_vertex(letter.monomial.r, letter.monomial.s) for letter in word)
-    return project_sum(reduce(mul, map(GraphSum.basis, vertices), GraphSum.one()))
+    """Third normal-ordering route: compose one-vertex graphs, then project.
+
+    A depth-first walk over an explicit stack of ``(graph, depth)``, with no
+    recursion per letter, composes each prefix graph with the next letter's
+    vertex.  The leaves, the compositions with the last letter, are counted
+    by ``(whites, grays)`` and not kept.  Labeled compositions are distinct,
+    so each count is a coefficient.
+    """
+    vertices = [make_vertex(letter.monomial.r, letter.monomial.s) for letter in word]
+    if not vertices:
+        return NormalPolynomial.one()
+    last = len(vertices) - 1
+    leaves = Counter()
+    stack = [(void_graph(), 0)]
+    while stack:
+        graph, depth = stack.pop()
+        buckets = _composition_buckets(graph, vertices[depth])
+        if depth < last:
+            for bucket in buckets:
+                stack += zip(bucket, repeat(depth + 1))
+        else:
+            for bucket in buckets:
+                leaves.update(map(_shape, bucket))
+    return NormalPolynomial.zero()._from_numerators(1, [(key, n, 0) for key, n in leaves.items()])
 
 
 # ---------------------------------------------------------------------------

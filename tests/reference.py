@@ -8,6 +8,7 @@ by Kahn's algorithm.  Slow and obviously correct beats fast and shared.
 
 from collections import deque
 from functools import lru_cache
+from math import comb, perm
 
 # Strings over 'a' (lowering) and 'A' (raising); normal form has all 'A' left.
 
@@ -93,6 +94,25 @@ def count_partial_matchings(n: int, m: int) -> int:
     if n == 0 or m == 0:
         return 1
     return count_partial_matchings(n - 1, m) + m * count_partial_matchings(n - 1, m - 1)
+
+
+def count_leaf_graphs(steps) -> int:
+    """How many graphs a chain of one-vertex compositions makes, by a DP over gray counts.
+
+    ``steps`` are the vertices' ``(whites, grays)`` in word order, each
+    composed onto the graph built so far.  From a graph with ``g`` grays, a
+    vertex ``(r, s)`` joined along ``i`` edges -- ``i`` of the ``g`` grays,
+    each to its own one of the ``r`` whites -- makes ``C(g, i) * r!/(r-i)!``
+    graphs with ``g - i + s`` grays.
+    """
+    graphs_by_grays = {0: 1}
+    for r, s in steps:
+        after: dict[int, int] = {}
+        for g, n in graphs_by_grays.items():
+            for i in range(min(g, r) + 1):
+                after[g - i + s] = after.get(g - i + s, 0) + n * comb(g, i) * perm(r, i)
+        graphs_by_grays = after
+    return sum(graphs_by_grays.values())
 
 
 def is_acyclic(num_vertices: int, edges) -> bool:

@@ -1,7 +1,11 @@
 import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
+from functools import reduce
+from itertools import product
+from operator import mul
 
 import pytest
 from hypothesis import example, given, settings
@@ -30,7 +34,13 @@ from laddergraphs.graphs import (
     project_sum,
     void_graph,
 )
-from laddergraphs.ladder import NormalMonomial, NormalPolynomial, multiply_monomials, word_from_str
+from laddergraphs.ladder import (
+    Letter,
+    NormalMonomial,
+    NormalPolynomial,
+    multiply_monomials,
+    word_from_str,
+)
 from laddergraphs.oracles import random_graph
 from laddergraphs.scalars import GaussianRational
 from test_scalars import json_values
@@ -437,6 +447,88 @@ def test_projection_is_a_homomorphism_on_random_graphs():
 def test_normal_order_via_graphs_matches_known_value():
     p = normal_order_via_graphs(word_from_str("a ad"))
     assert p == NormalPolynomial({(1, 1): 1, (0, 0): 1})
+
+
+WORDS_UP_TO_8 = [word for n in range(9) for word in product(Letter, repeat=n)]
+
+
+def graph_sum_route(word) -> NormalPolynomial:
+    """The graph route as a product of graph sums, every prefix kept whole."""
+    vertices = (make_vertex(x.monomial.r, x.monomial.s) for x in word)
+    return project_sum(reduce(mul, map(GraphSum.basis, vertices), GraphSum.one()))
+
+
+def test_walk_equals_the_product_of_graph_sums():
+    assert len(WORDS_UP_TO_8) == 511
+    for word in WORDS_UP_TO_8:
+        assert normal_order_via_graphs(word) == graph_sum_route(word), word
+    assert normal_order_via_graphs(()) == NormalPolynomial.one() == graph_sum_route(())
+
+
+def test_walk_goes_deeper_than_the_recursion_limit():
+    word = word_from_str("ad " * 599 + "a ad " + "a " * 599)
+    assert len(word) > sys.getrecursionlimit()
+    assert normal_order_via_graphs(word) == NormalPolynomial({(600, 600): 1, (599, 599): 1})
+
+
+def test_walk_keeps_no_prefix_sum():
+    # The product of graph sums peaks at about 2 MB here: it holds all 877
+    # graphs of (a ad)^6 while it builds the 4140 of (a ad)^7.
+    word = word_from_str("a ad " * 7)
+    normal_order_via_graphs(word)  # fills the per-shape caches
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        normal_order_via_graphs(word)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * 2**20
+
+
+def test_leaf_counts_of_a_ad_powers():
+    # The Bell numbers B(n + 1).
+    assert [reference.count_leaf_graphs([(0, 1), (1, 0)] * n) for n in range(5, 9)] == [
+        203, 877, 4140, 21147]
+
+
+def test_leaf_count_is_the_coefficient_sum_of_the_walk():
+    for word in WORDS_UP_TO_8:
+        total = sum(c for _, c in normal_order_via_graphs(word).terms())
+        assert total == reference.count_leaf_graphs([(x.monomial.r, x.monomial.s) for x in word])
+
+
+def project_per_term(x: GraphSum) -> NormalPolynomial:
+    return NormalPolynomial((project(g), c) for g, c in x.terms())
+
+
+# Two graphs of each projection, (1, 2) and (2, 1).
+PROJECTED_PAIRS = [make_vertex(1, 2), build_iteratively([(1, 1, 0), (0, 1, 0)]),
+                   make_vertex(2, 1), build_iteratively([(1, 0, 0), (1, 1, 0)])]
+
+
+@pytest.mark.parametrize("coeffs", [
+    [GaussianRational(Fraction(1, 2), Fraction(1, 3)), GaussianRational(Fraction(-2, 3), 5),
+     GaussianRational(Fraction(3, 4)), GaussianRational(Fraction(1, 5), Fraction(-1, 7))],
+    [GaussianRational(Fraction(1, 2), 1), GaussianRational(Fraction(-1, 2), -1), 2, -2],
+    [GaussianRational(Fraction(1, 2), 1), Fraction(-1, 2), GaussianRational(0, 3), 7],
+    [Fraction(2, 3), Fraction(1, 3), GaussianRational(0, Fraction(1, 6)), GaussianRational(0, Fraction(5, 6))],
+], ids=["gaussian", "all cancel", "real parts cancel", "sums are integers"])
+def test_project_sum_is_the_per_term_projection(coeffs):
+    x = GraphSum(zip(PROJECTED_PAIRS, coeffs))
+    assert project(PROJECTED_PAIRS[0]) == project(PROJECTED_PAIRS[1])
+    assert project(PROJECTED_PAIRS[2]) == project(PROJECTED_PAIRS[3])
+    assert project_sum(x) == project_per_term(x)
+
+
+def test_project_sum_of_random_sums():
+    rng = random.Random(25)
+    for _ in range(40):
+        x = GraphSum((random_graph(rng), GaussianRational(Fraction(rng.randint(-3, 3), rng.randint(1, 4)),
+                                                         Fraction(rng.randint(-3, 3), rng.randint(1, 4))))
+                     for _ in range(rng.randint(0, 6)))
+        assert project_sum(x) == project_per_term(x)
+    assert project_sum(GraphSum.zero()) == NormalPolynomial.zero()
 
 
 def test_graph_sum_linearity():

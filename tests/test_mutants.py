@@ -112,6 +112,20 @@ def check_format_round_trips():
         assert exprs.evaluate(exprs.parse(exprs.format_polynomial(p))) == p
 
 
+def check_graph_route_against_reference():
+    for spelled in ("aA", "aAa", "aaAA", "AaaAa", "aAaAaA"):
+        word = tuple(Letter.ANNIHILATOR if x == "a" else Letter.CREATOR for x in spelled)
+        expected = NormalPolynomial(reference.normal_order_string(spelled))
+        assert graphs.normal_order_via_graphs(word) == expected
+
+
+def check_project_sum_per_term():
+    g1, g2 = make_vertex(1, 2), build_iteratively([(1, 1, 0), (0, 1, 0)])
+    x = graphs.GraphSum([(g1, scalars.GaussianRational(Fraction(1, 2), 1)), (g2, Fraction(1, 3)),
+                         (make_vertex(2, 0), scalars.GaussianRational(0, -2))])
+    assert graphs.project_sum(x) == NormalPolynomial((graphs.project(g), c) for g, c in x.terms())
+
+
 def _fields(g: DiagGraph) -> tuple:
     return (tuple((v.in_ports, v.out_ports) for v in g.vertices),
             g.edges, g.dangling_in, g.dangling_out)
@@ -268,6 +282,19 @@ FAULTS = {
         _recompiled(graphs, "_assembler", r"tuple\(sorted\(joined \+ g2_edges\)\)",
                     "joined + g2_edges"),
         check_compositions_against_reference),
+    "the walk composes with the previous letter's vertex": (
+        _recompiled(graphs, "normal_order_via_graphs", r"vertices\[depth\]", "vertices[depth - 1]"),
+        check_graph_route_against_reference),
+    "_shape, the walk's leaf key, transposed to (grays, whites)": (
+        _recompiled(graphs, "_shape", r"len\(g\.dangling_out\), len\(g\.dangling_in\)",
+                    "len(g.dangling_in), len(g.dangling_out)"),
+        check_graph_route_against_reference),
+    "the walk keeps only the first bucket of a step": (
+        _recompiled(graphs, "normal_order_via_graphs", r"= (_composition_buckets\(.*\))$", r"= [next(\1)]"),
+        check_graph_route_against_reference),
+    "project_sum drops the imaginary numerators": (
+        _recompiled(graphs, "project_sum", r"\(key, re, im\) for key", "(key, re, 0) for key"),
+        check_project_sum_per_term),
     "order of the transposed shape": (
         lambda mp: _wrap(mp, graphs, "_bucket_order",
                          lambda true: lambda n_gray, n_white, size: true(n_white, n_gray, size)),
