@@ -229,23 +229,17 @@ class _Parser:
     def parse_term(self) -> ExprNode:
         start = self.pos
         coeff = self._try_parse_coeff()
-        if coeff is not None:
-            # A lone '1' directly before '^' is the identity atom, not a coefficient.
-            if self.pos == start + 1 and self.tokens[start].lexeme == "1" \
-                    and self.peek().kind == "^":
-                self.pos = start
-            else:
-                factors = []
-                while self._at_factor_start():
-                    factors.append(self.parse_factor())
-                body = product(factors) if factors else IdentityExpr()
-                return scaled(coeff, body)
-        if not self._at_factor_start():
-            raise self.error("a coefficient, 'a', 'ad', '1' or '('")
-        factors = [self.parse_factor()]
+        # A lone '1' directly before '^' is the identity atom, not a coefficient.
+        if coeff is not None and self.pos == start + 1 and self.tokens[start].lexeme == "1" \
+                and self.peek().kind == "^":
+            self.pos, coeff = start, None
+        factors = []
         while self._at_factor_start():
             factors.append(self.parse_factor())
-        return product(factors)
+        if coeff is None and not factors:
+            raise self.error("a coefficient, 'a', 'ad', '1' or '('")
+        body = product(factors) if factors else IdentityExpr()
+        return body if coeff is None else scaled(coeff, body)
 
     def _at_factor_start(self) -> bool:
         tok = self.peek()

@@ -70,11 +70,6 @@ class Vertex(Record):
     def __init__(self, in_ports: tuple[int, ...], out_ports: tuple[int, ...]):
         self._fill(in_ports, out_ports)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.in_ports == other.in_ports and self.out_ports == other.out_ports
-
     def __hash__(self) -> int:
         return hash((self.in_ports, self.out_ports))
 
@@ -116,12 +111,6 @@ class DiagGraph(Record):
         _set_dangling_out(graph, dangling_out)
         _set_hash(graph, None)
         return graph
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.vertices, self.edges, self.dangling_in, self.dangling_out) == (
-            other.vertices, other.edges, other.dangling_in, other.dangling_out)
 
     def __hash__(self) -> int:
         h = self._hash
@@ -464,11 +453,6 @@ def build_iteratively(steps: Iterable[tuple[int, int, int]]) -> DiagGraph:
 # Formal sums of graphs
 # ---------------------------------------------------------------------------
 
-def _weighted_compositions(g1: DiagGraph, g2: DiagGraph) -> Iterator[tuple[DiagGraph, int]]:
-    """Every composition of ``g1`` with ``g2``, each at weight 1."""
-    return zip(enumerate_compositions(g1, g2), repeat(1))
-
-
 class GraphSum(LinearCombination):
     """Finitely supported sum of labeled graphs with exact coefficients.
 
@@ -496,7 +480,7 @@ class GraphSum(LinearCombination):
         """Bilinear extension of composition enumeration; unit is the void graph."""
         if not isinstance(other, GraphSum):
             return NotImplemented
-        return self._product(other, _weighted_compositions)
+        return self._product(other, lambda g1, g2: zip(enumerate_compositions(g1, g2), repeat(1)))
 
     def __repr__(self) -> str:
         if not self._terms:

@@ -48,11 +48,6 @@ class NormalMonomial(Record):
         _set_r(self, r)
         _set_s(self, s)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.r == other.r and self.s == other.s
-
     def __hash__(self) -> int:
         return hash((self.r, self.s))
 
@@ -192,10 +187,7 @@ def commutator_powers(s: int, k: int) -> NormalPolynomial:
     """
     if s < 0 or k < 0:
         raise ValueError("exponents must be nonnegative")
-    return NormalPolynomial(
-        [(NormalMonomial(k - i, s - i), factorial(i) * comb(s, i) * comb(k, i))
-         for i in range(1, min(k, s) + 1)]
-    )
+    return NormalPolynomial(_basis_product((0, s), (k, 0))[1:])
 
 
 # ---------------------------------------------------------------------------

@@ -64,8 +64,9 @@ class Record:
 
     Equal only to records of its own class with equal fields; hashed,
     pickled and copied as its field tuple; printed as ``Name(field=value)``.
-    Hot classes override ``__eq__`` and ``__hash__`` with ones that name
-    their fields; :class:`GaussianRational` overrides them to equal numbers.
+    Hot classes override only ``__hash__``, with one that names their fields;
+    :class:`GaussianRational` overrides ``__eq__`` and ``__hash__`` to equal
+    numbers.
     """
 
     __slots__ = ()
@@ -160,18 +161,10 @@ class GaussianRational(Record):
         return bool(self._re or self._im)
 
     # -- field operations --------------------------------------------------
-    # ``int`` op ``int`` stays ``int``; a result that may be a ``Fraction``
-    # goes through ``_integral`` so integral values are stored as ``int``.
 
     def __add__(self, other: "ScalarLike") -> "GaussianRational":
-        if type(other) is int:
-            # Adding an integer never makes a non-integral part integral.
-            return self._raw(self._re + other, self._im)
-        o = other if type(other) is GaussianRational else GaussianRational.coerce(other)
-        re = self._re + o._re
-        im = self._im + o._im
-        return self._raw(re if type(re) is int else _integral(re),
-                         im if type(im) is int else _integral(im))
+        o = GaussianRational.coerce(other)
+        return GaussianRational(self._re + o._re, self._im + o._im)
 
     __radd__ = __add__
 
@@ -185,15 +178,9 @@ class GaussianRational(Record):
         return GaussianRational.coerce(other) + (-self)
 
     def __mul__(self, other: "ScalarLike") -> "GaussianRational":
-        a, b = self._re, self._im
-        if type(other) is int:
-            re, im = a * other, b * other
-        else:
-            o = other if type(other) is GaussianRational else GaussianRational.coerce(other)
-            c, d = o._re, o._im
-            re, im = a * c - b * d, a * d + b * c
-        return self._raw(re if type(re) is int else _integral(re),
-                         im if type(im) is int else _integral(im))
+        o = GaussianRational.coerce(other)
+        a, b, c, d = self._re, self._im, o._re, o._im
+        return GaussianRational(a * c - b * d, a * d + b * c)
 
     __rmul__ = __mul__
 
@@ -203,8 +190,7 @@ class GaussianRational(Record):
         norm = c * c + d * d
         if not norm:
             raise ZeroDivisionError("division by zero scalar")
-        inverse = self._raw(_integral(Fraction(c, norm)), _integral(Fraction(-d, norm)))
-        return self * inverse
+        return self * GaussianRational(Fraction(c, norm), Fraction(-d, norm))
 
     def __rtruediv__(self, other: "ScalarLike") -> "GaussianRational":
         return GaussianRational.coerce(other) / self
@@ -283,8 +269,10 @@ ONE = GaussianRational.one()
 def accumulate(acc: dict, key: Hashable, coeff) -> None:
     """Add ``coeff`` to ``acc[key]``, dropping the key when the sum is zero.
 
-    The only accumulate-and-prune step in the package; it works for any
-    coefficient type whose truth value is "nonzero" (ints included).
+    The accumulate-and-prune step of the sum structures; it works for any
+    coefficient type whose truth value is "nonzero" (ints included).  The
+    product loop :func:`_pair_numerators` and ``graphs.project_sum`` keep
+    their own ``[re, im]`` numerator sums and prune once at the end.
     """
     total = acc.get(key)
     total = coeff if total is None else total + coeff
@@ -376,10 +364,6 @@ class LinearCombination:
     def __add__(self, other):
         if not isinstance(other, type(self)):
             return NotImplemented
-        if not other._terms:
-            return self
-        if not self._terms:
-            return other
         acc = dict(self._terms)
         for key, coeff in other._terms.items():
             accumulate(acc, key, coeff)

@@ -126,6 +126,14 @@ def test_oracle_check_passes(capsys):
     assert out == "PASS (81 exhaustive products, 25 words, 6 graph pairs, 0 mismatches)\n"
 
 
+def test_check_defaults_are_pinned(capsys):
+    # Bounds 4,4,4,4 for both; 200 words and 50 graph pairs for oracle-check only.
+    assert run_cli(capsys, "oracle-check") == (
+        0, "PASS (625 exhaustive products, 200 words, 50 graph pairs, 0 mismatches)\n", "")
+    assert run_cli(capsys, "project-check") == (
+        0, "PASS (625 exhaustive products, 0 words, 0 graph pairs, 0 mismatches)\n", "")
+
+
 def test_oracle_check_is_deterministic(capsys):
     args = ("oracle-check", "--bounds", "1,1,1,1", "--words", "15", "--pairs", "4",
             "--seed", "7")

@@ -143,6 +143,18 @@ def test_over_long_literals_are_lexical_errors(prefix, suffix):
     assert f"longer than {MAX_DIGITS} digits" in str(excinfo.value)
 
 
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="the interpreter has no integer string conversion limit")
+def test_literals_of_any_length_parse_when_the_limit_is_off():
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # 0: no limit
+    try:
+        digits = "7" * 5000
+        assert parse(digits + " a") == ScaledExpr(gr(int(digits)), A)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def test_unary_minus_on_letters_is_not_in_the_grammar():
     with pytest.raises(ParseError):
         parse("-a")

@@ -74,6 +74,8 @@ def test_validation_rejects_bad_structures():
         DiagGraph(vertices=(Vertex(in_ports=(5,), out_ports=()),), dangling_in=(5,))
     with pytest.raises(ValueError):  # duplicate label inside one vertex
         DiagGraph(vertices=(Vertex(in_ports=(0, 0), out_ports=()),), dangling_in=(0, 0))
+    with pytest.raises(ValueError):  # a label used twice in a vertex, once in dangling_in
+        DiagGraph(vertices=(Vertex(in_ports=(0, 0), out_ports=()),), dangling_in=(0,))
     with pytest.raises(ValueError):  # dangling list out of sync with edges
         DiagGraph(
             vertices=(Vertex(in_ports=(1,), out_ports=(0,)),),

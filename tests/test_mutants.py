@@ -8,6 +8,7 @@ the same way under ``python -O``.
 
 import inspect
 import re
+import textwrap
 from fractions import Fraction
 from functools import cache
 from math import comb, factorial
@@ -75,6 +76,13 @@ def check_rewrite_against_reference():
         assert ladder.normal_order_rewrite(word) == expected
 
 
+def check_gaussian_products():
+    gr = scalars.GaussianRational
+    assert gr(1, 2) * gr(3, 4) == gr(-5, 10)
+    assert gr(Fraction(1, 2), -1) * gr(3, 2) == gr(Fraction(7, 2), -2)
+    assert gr(1, 2) * 3 == gr(3, 6)
+
+
 def check_products_are_keyed_by_monomials():
     assert A * AD == NormalPolynomial({(1, 1): 1, (0, 0): 1})
 
@@ -94,6 +102,16 @@ def check_cancellation_leaves_no_terms():
     x = NormalPolynomial({(0, 1): 1, (1, 0): 2})
     assert len(x - x) == 0
     assert x - x == NormalPolynomial.zero()
+
+
+def check_port_labels_counted_per_vertex():
+    # A label used twice in one vertex and listed once: only the per-vertex count sees it.
+    try:
+        DiagGraph((Vertex((0, 0), ()),), dangling_in=(0,))
+    except ValueError as exc:
+        assert "distinct" in str(exc)
+    else:
+        assert False, "accepted an in-port label used twice"
 
 
 def check_decoder_refuses_leading_zeros():
@@ -173,15 +191,16 @@ def _wrap(monkeypatch, owner, name, make):
     monkeypatch.setattr(owner, name, make(getattr(owner, name)))
 
 
-def _recompiled(module, name, pattern, replacement):
-    """A fault: ``module.name`` recompiled with the one match of ``pattern`` replaced."""
+def _recompiled(owner, name, pattern, replacement):
+    """A fault: ``owner.name``, a module's function or a class's method, recompiled
+    in its module with the one match of ``pattern`` replaced."""
     def fault(monkeypatch):
-        source = inspect.getsource(getattr(module, name))
+        source = textwrap.dedent(inspect.getsource(getattr(owner, name)))
         source, found = re.subn(pattern, replacement, source, flags=re.M)
         assert found == 1, f"no single match of {pattern!r} in {name}"
-        namespace = dict(vars(module))
+        namespace = dict(vars(inspect.getmodule(owner)))
         exec(source, namespace)
-        monkeypatch.setattr(module, name, namespace[name])
+        monkeypatch.setattr(owner, name, namespace[name])
     return fault
 
 
@@ -271,6 +290,13 @@ FAULTS = {
     "second operand's edges dropped": (
         lambda mp: _assembler_on(mp, _same, _without_edges),
         check_compositions_against_reference),
+    "port_count from the dangling and edge counts, not the vertices": (
+        lambda mp: mp.setattr(DiagGraph, "port_count", property(
+            lambda g: len(g.dangling_in) + len(g.dangling_out) + 2 * len(g.edges))),
+        check_port_labels_counted_per_vertex),
+    "imaginary cross term of GaussianRational.__mul__ with its sign flipped": (
+        _recompiled(scalars.GaussianRational, "__mul__", r"a \* d \+ b \* c", "a * d - b * c"),
+        check_gaussian_products),
     "shift by port_count - 1": (
         lambda mp: _wrap(mp, DiagGraph, "port_count",
                          lambda true: property(lambda g: true.fget(g) - 1)),

@@ -29,6 +29,11 @@ def corrupt_product(monkeypatch, r, s, k, l, i):
     monkeypatch.setattr(oracles, "multiply_monomials", corrupted)
 
 
+def test_default_run_is_pinned():
+    assert run_oracle_checks().summary() == (
+        "PASS (625 exhaustive products, 200 words, 50 graph pairs, 0 mismatches)")
+
+
 def test_fault_injection_is_reported(monkeypatch):
     corrupt_product(monkeypatch, 2, 1, 2, 2, 1)
     report = run_oracle_checks(2, 2, 2, 2, words=0, graph_pairs=0)
@@ -67,6 +72,15 @@ def test_random_graph_respects_caps():
         g = random_graph(rng, max_vertices=3, max_lines=2, dangling_cap=3)
         assert 1 <= len(g.vertices) <= 3
         assert len(g.dangling_in) <= 3 and len(g.dangling_out) <= 3
+
+
+def test_random_graph_defaults_cover_their_ranges():
+    # Up to four vertices with up to two lines of each kind, every value drawn.
+    rng = random.Random(0)
+    drawn = [random_graph(rng) for _ in range(100)]
+    assert {len(g.vertices) for g in drawn} == {1, 2, 3, 4}
+    assert {len(v.out_ports) for g in drawn for v in g.vertices} == {0, 1, 2}
+    assert {len(v.in_ports) for g in drawn for v in g.vertices} == {0, 1, 2}
 
 
 def test_report_failure_lines_are_indented():
