@@ -142,7 +142,7 @@ def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
     i, n = 0, len(text)
     # The longest digit string ``int`` converts; 0 means no limit.
-    max_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    max_digits = sys.get_int_max_str_digits()
     while i < n:
         ch = text[i]
         if ch in " \t\r\n":

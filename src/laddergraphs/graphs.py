@@ -30,7 +30,9 @@ Port labels are assigned at vertex creation and never collide: the right
 operand of a composition is embedded by shifting its labels up by the left
 operand's port count.  The shift is order-preserving and additive, so label
 assignment commutes with reassociating products and canonical encodings are
-stable across runs with no global state.
+stable across runs with no global state.  Every port of a valid graph dangles
+or ends one edge, so the shift takes constant time; the validation of outside
+input, where that is in question, still counts ports vertex by vertex.
 
 Validation happens where graphs enter the package.  The public
 ``DiagGraph(...)`` constructor, :func:`canonical_decode` and
@@ -195,6 +197,7 @@ class DiagGraph(Record):
 _new = object.__new__
 _set_vertices, _set_edges, _set_dangling_in, _set_dangling_out, _set_hash = (
     getattr(DiagGraph, name).__set__ for name in DiagGraph.__slots__)
+_set_in_ports, _set_out_ports = (getattr(Vertex, name).__set__ for name in Vertex.__slots__)
 
 
 def _check_tuple(value, what: str) -> tuple:
@@ -261,10 +264,10 @@ def count_matchings(n_gray: int, n_white: int) -> int:
 
 
 def _shift_vertex(v: Vertex, offset: int) -> Vertex:
-    return Vertex(
-        in_ports=tuple(p + offset for p in v.in_ports),
-        out_ports=tuple(p + offset for p in v.out_ports),
-    )
+    vertex = _new(Vertex)
+    _set_in_ports(vertex, tuple([p + offset for p in v.in_ports]))
+    _set_out_ports(vertex, tuple([p + offset for p in v.out_ports]))
+    return vertex
 
 
 def _picker(indices) -> Picker:
@@ -319,9 +322,13 @@ def _assembler(g1: DiagGraph, g2: DiagGraph) -> Callable[..., list[DiagGraph]]:
     :func:`_pairing` to each gray/white pair of them.  It returns the
     compositions in that loop order.  The matchings must be valid
     (:func:`compose` checks a caller's); every result is then valid by
-    construction and built with ``DiagGraph._trusted``.
+    construction and built with ``DiagGraph._trusted``.  The shift is
+    ``g1``'s port count in constant time: every port of a valid graph
+    dangles or ends one edge.  ``_validate`` keeps the sum over vertices,
+    as on outside input the formula would accept a label used twice in one
+    vertex and listed once.
     """
-    shift = g1.port_count
+    shift = len(g1.dangling_in) + len(g1.dangling_out) + 2 * len(g1.edges)
     vertices = g1.vertices + tuple(_shift_vertex(v, shift) for v in g2.vertices)
     # Every out-port of g1 is below ``shift``, so g1's sorted edges stay a
     # sorted prefix; only the edges leaving g2 are merged with the joined ones.
@@ -337,12 +344,13 @@ def _assembler(g1: DiagGraph, g2: DiagGraph) -> Callable[..., list[DiagGraph]]:
         by_white = []
         for whites in white_combos:
             shifted = tuple([p + shift for p in whites])
-            rest = g1_whites + tuple([p for p in g2_whites if p not in shifted])
-            by_white.append((shifted, rest))
+            rest = tuple([p for p in g2_whites if p not in shifted]) if whites else g2_whites
+            by_white.append((shifted, g1_whites + rest))
         built = []
         append = built.append
         for grays in gray_combos:
-            dangling_in = tuple([p for p in g1_grays if p not in grays]) + g2_grays
+            rest = tuple([p for p in g1_grays if p not in grays]) if grays else g1_grays
+            dangling_in = rest + g2_grays
             for shifted, dangling_out in by_white:
                 candidates = tuple(product(shifted, grays))
                 for _, joined_of in pairings:
@@ -357,16 +365,17 @@ def _assembler(g1: DiagGraph, g2: DiagGraph) -> Callable[..., list[DiagGraph]]:
 def _composition_buckets(g1: DiagGraph, g2: DiagGraph) -> Iterator[list[DiagGraph]]:
     """:func:`enumerate_compositions`, one list per matching size.
 
-    Each bucket is put in matching order by its shape's :func:`_bucket_order`.
-    Buckets differ in edge count, so no graph is in two of them.
+    A bucket of two or more edges is put in matching order by its shape's
+    :func:`_bucket_order`; smaller ones are built in that order.  Buckets
+    differ in edge count, so no graph is in two of them.
     """
     assemble = _assembler(g1, g2)
     grays, whites = sorted(g1.dangling_in), sorted(g2.dangling_out)
     for size in range(min(len(grays), len(whites)) + 1):
         # The order first, so that its sort keys are gone before the bucket is built.
-        order = _bucket_order(len(grays), len(whites), size)
+        order = _bucket_order(len(grays), len(whites), size) if size > 1 else None
         built = assemble(combinations(grays, size), combinations(whites, size), _pairings(size))
-        yield [built[i] for i in order]
+        yield built if order is None else [built[i] for i in order]
         del built  # not held here while the next bucket is built
 
 
@@ -531,7 +540,8 @@ def normal_order_via_graphs(word: Word) -> NormalPolynomial:
     by ``(whites, grays)`` and not kept.  Labeled compositions are distinct,
     so each count is a coefficient.
     """
-    vertices = [make_vertex(letter.monomial.r, letter.monomial.s) for letter in word]
+    vertex_of = {letter: make_vertex(letter.monomial.r, letter.monomial.s) for letter in set(word)}
+    vertices = [vertex_of[letter] for letter in word]
     if not vertices:
         return NormalPolynomial.one()
     last = len(vertices) - 1

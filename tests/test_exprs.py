@@ -128,7 +128,7 @@ def test_nesting_limit():
     assert excinfo.value.position == 2 * MAX_NESTING
 
 
-MAX_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+MAX_DIGITS = sys.get_int_max_str_digits()
 
 
 @pytest.mark.skipif(not MAX_DIGITS, reason="the interpreter converts integers of any length")
@@ -143,8 +143,6 @@ def test_over_long_literals_are_lexical_errors(prefix, suffix):
     assert f"longer than {MAX_DIGITS} digits" in str(excinfo.value)
 
 
-@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
-                    reason="the interpreter has no integer string conversion limit")
 def test_literals_of_any_length_parse_when_the_limit_is_off():
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)  # 0: no limit

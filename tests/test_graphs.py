@@ -243,6 +243,35 @@ def test_compositions_equal_their_validated_rebuild(steps1, steps2):
         assert canonical_encode(decoded) == blob
 
 
+def composition_shift(g: DiagGraph) -> int:
+    """The label that composition gives the first port of its second operand."""
+    (composed,) = enumerate_compositions(g, make_vertex(0, 1))
+    return composed.vertices[-1].in_ports[0]
+
+
+def assert_shift_is_the_port_count(g: DiagGraph) -> None:
+    # Every port of a valid graph dangles or ends exactly one edge.
+    formula = len(g.dangling_in) + len(g.dangling_out) + 2 * len(g.edges)
+    assert formula == g.port_count == composition_shift(g), str(g)
+
+
+def test_shift_is_the_port_count_of_random_graphs():
+    rng = random.Random(29)
+    assert_shift_is_the_port_count(void_graph())
+    for _ in range(200):
+        g = random_graph(rng, max_vertices=5)
+        assert_shift_is_the_port_count(g)
+        assert_shift_is_the_port_count(canonical_decode(canonical_encode(g)))
+
+
+@given(chains(max_vertices=5, max_lines=3))
+@settings(deadline=None, max_examples=60)
+def test_shift_is_the_port_count_of_chains(steps):
+    g = build_iteratively(steps)
+    assert_shift_is_the_port_count(g)
+    assert_shift_is_the_port_count(canonical_decode(canonical_encode(g)))
+
+
 # -- matchings ------------------------------------------------------------------
 
 def test_matchings_against_recursive_reference():
@@ -393,6 +422,14 @@ def test_enumeration_order_on_every_shape_up_to_five(transposed_first):
         assert enumerate_compositions(g1, g2) == [compose(g1, g2, m) for m in matchings]
 
 
+def test_buckets_of_at_most_one_edge_need_no_reorder():
+    # What lets _composition_buckets skip the reorder for them.
+    for n_gray, n_white in SHAPES_UP_TO_FIVE:
+        for size in range(min(n_gray, n_white, 1) + 1):
+            order = list(_bucket_order(n_gray, n_white, size))
+            assert order == list(range(n_gray * n_white if size else 1))
+
+
 def test_nth_matching_unranks_every_index():
     for n_gray, n_white in SHAPES_UP_TO_FIVE:
         grays, whites = range(2 * n_gray, 0, -2), range(1, 3 * n_white, 3)
@@ -471,6 +508,36 @@ def test_walk_goes_deeper_than_the_recursion_limit():
     word = word_from_str("ad " * 599 + "a ad " + "a " * 599)
     assert len(word) > sys.getrecursionlimit()
     assert normal_order_via_graphs(word) == NormalPolynomial({(600, 600): 1, (599, 599): 1})
+
+
+def opcodes(function, *args) -> int:
+    """The Python opcodes that ``function(*args)`` runs, counted by a trace function."""
+    count = 0
+
+    def trace(frame, event, arg):
+        nonlocal count
+        frame.f_trace_opcodes = True
+        count += event == "opcode"
+        return trace
+
+    previous = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        function(*args)
+    finally:
+        sys.settrace(previous)
+    return count
+
+
+def test_walk_is_linear_in_the_word_length():
+    # ad^k a ad a^k.  No step may do interpreter work that grows with the
+    # prefix, such as a port count summed over its vertices or a scan of its
+    # grays for the empty matching.
+    def word(k):
+        return word_from_str("ad " * k + "a ad " + "a " * k)
+
+    normal_order_via_graphs(word(2))  # fills the per-shape caches
+    assert opcodes(normal_order_via_graphs, word(400)) <= 2.1 * opcodes(normal_order_via_graphs, word(200))
 
 
 def test_walk_keeps_no_prefix_sum():

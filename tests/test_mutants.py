@@ -298,8 +298,13 @@ FAULTS = {
         _recompiled(scalars.GaussianRational, "__mul__", r"a \* d \+ b \* c", "a * d - b * c"),
         check_gaussian_products),
     "shift by port_count - 1": (
-        lambda mp: _wrap(mp, DiagGraph, "port_count",
-                         lambda true: property(lambda g: true.fget(g) - 1)),
+        _recompiled(graphs, "_assembler", r"(shift = len\(g1\.dangling_in\) .*)$", r"\1 - 1"),
+        check_compositions_against_reference),
+    "the empty-matching shortcut drops a gray": (
+        _recompiled(graphs, "_assembler", r"if grays else g1_grays$", "if grays else g1_grays[1:]"),
+        check_compositions_against_reference),
+    "the reorder skip widened to size-2 buckets": (
+        _recompiled(graphs, "_composition_buckets", r"if size > 1 else None", "if size > 2 else None"),
         check_compositions_against_reference),
     "remaining grays sorted, not in dangling_in order": (
         lambda mp: _assembler_on(mp, _grays_sorted, _same),
