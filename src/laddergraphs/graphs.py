@@ -19,7 +19,9 @@ the closed-form product of :mod:`laddergraphs.ladder` term by term.  That
 projection (:func:`project_sum`) is an algebra homomorphism and the bridge
 between the two representations.  Formal sums of graphs (:class:`GraphSum`)
 and the polynomials they project onto share one sparse linear-combination
-core, :class:`~laddergraphs.scalars.LinearCombination`.
+core, :class:`~laddergraphs.scalars.LinearCombination`.  Their product forms
+one coefficient per pair of terms and adds it to each of the pair's
+compositions, which share one vertex tuple that hashes its vertices once.
 
 :func:`normal_order_via_graphs`, the third normal-ordering route beside the
 rewrite and the fold of :mod:`laddergraphs.ladder`, walks a word's
@@ -51,14 +53,14 @@ from __future__ import annotations
 import re
 from array import array
 from collections import Counter
-from functools import cache
-from itertools import chain, combinations, permutations, product, repeat
-from math import comb, factorial, perm
+from functools import cache, cached_property
+from itertools import chain, combinations, filterfalse, permutations, product, repeat
+from math import comb, factorial, lcm, perm
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator
 
 from .ladder import NormalMonomial, NormalPolynomial, Word, _monomial
-from .scalars import ONE, LinearCombination, Record, ScalarLike, _integer_numerators
+from .scalars import ONE, LinearCombination, Record, ScalarLike, accumulate
 
 Matching = tuple[tuple[int, int], ...]  # (gray in-port of g1, white out-port of g2) pairs
 Picker = Callable[[tuple], tuple]
@@ -120,6 +122,9 @@ class DiagGraph(Record):
             h = hash((self.vertices, self.edges, self.dangling_in, self.dangling_out))
             _set_hash(self, h)
         return h
+
+    def __reduce__(self):
+        return self.__class__, (tuple(self.vertices), self.edges, self.dangling_in, self.dangling_out)
 
     # -- structure ----------------------------------------------------------
 
@@ -200,6 +205,15 @@ _set_vertices, _set_edges, _set_dangling_in, _set_dangling_out, _set_hash = (
 _set_in_ports, _set_out_ports = (getattr(Vertex, name).__set__ for name in Vertex.__slots__)
 
 
+class _Vertices(tuple):
+    """The vertex tuple one operand pair's compositions share; it keeps its hash and is not pickled."""
+
+    _hash = cached_property(tuple.__hash__)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+
 def _check_tuple(value, what: str) -> tuple:
     """Refuse a graph field that is not a tuple; return it unchanged."""
     if not isinstance(value, tuple):
@@ -265,8 +279,8 @@ def count_matchings(n_gray: int, n_white: int) -> int:
 
 def _shift_vertex(v: Vertex, offset: int) -> Vertex:
     vertex = _new(Vertex)
-    _set_in_ports(vertex, tuple([p + offset for p in v.in_ports]))
-    _set_out_ports(vertex, tuple([p + offset for p in v.out_ports]))
+    _set_in_ports(vertex, tuple(map(offset.__add__, v.in_ports)))
+    _set_out_ports(vertex, tuple(map(offset.__add__, v.out_ports)))
     return vertex
 
 
@@ -329,27 +343,27 @@ def _assembler(g1: DiagGraph, g2: DiagGraph) -> Callable[..., list[DiagGraph]]:
     vertex and listed once.
     """
     shift = len(g1.dangling_in) + len(g1.dangling_out) + 2 * len(g1.edges)
-    vertices = g1.vertices + tuple(_shift_vertex(v, shift) for v in g2.vertices)
+    vertices = _Vertices(g1.vertices + tuple(map(_shift_vertex, g2.vertices, repeat(shift))))
     # Every out-port of g1 is below ``shift``, so g1's sorted edges stay a
     # sorted prefix; only the edges leaving g2 are merged with the joined ones.
     g1_edges = g1.edges
     g2_edges = tuple([(out_p + shift, in_p + shift) for out_p, in_p in g2.edges])
     g1_grays, g1_whites = g1.dangling_in, g1.dangling_out
-    g2_grays = tuple(p + shift for p in g2.dangling_in)
-    g2_whites = tuple(p + shift for p in g2.dangling_out)
+    g2_grays = tuple(map(shift.__add__, g2.dangling_in))
+    g2_whites = tuple(map(shift.__add__, g2.dangling_out))
     trusted = DiagGraph._trusted
 
     def assemble(gray_combos, white_combos, pairings) -> list[DiagGraph]:
         # Remaining spots once per combination, grays in g1.dangling_in's own order.
         by_white = []
         for whites in white_combos:
-            shifted = tuple([p + shift for p in whites])
-            rest = tuple([p for p in g2_whites if p not in shifted]) if whites else g2_whites
+            shifted = tuple(map(shift.__add__, whites))
+            rest = tuple(filterfalse(shifted.__contains__, g2_whites)) if whites else g2_whites
             by_white.append((shifted, g1_whites + rest))
         built = []
         append = built.append
         for grays in gray_combos:
-            rest = tuple([p for p in g1_grays if p not in grays]) if grays else g1_grays
+            rest = tuple(filterfalse(grays.__contains__, g1_grays)) if grays else g1_grays
             dangling_in = rest + g2_grays
             for shifted, dangling_out in by_white:
                 candidates = tuple(product(shifted, grays))
@@ -467,8 +481,9 @@ class GraphSum(LinearCombination):
 
     The sum structure is the shared
     :class:`~laddergraphs.scalars.LinearCombination` core; this class adds the
-    graph basis, ordered by canonical encoding, and composition as product.
-    Unhashable.
+    graph basis, ordered by canonical encoding, and composition as product:
+    each pair of terms adds its one coefficient product to each of its
+    compositions.  Unhashable.
     """
 
     __slots__ = ()
@@ -489,7 +504,12 @@ class GraphSum(LinearCombination):
         """Bilinear extension of composition enumeration; unit is the void graph."""
         if not isinstance(other, GraphSum):
             return NotImplemented
-        return self._product(other, lambda g1, g2: zip(enumerate_compositions(g1, g2), repeat(1)))
+        acc: dict = {}
+        for (g1, c1), (g2, c2) in product(self._terms.items(), other._terms.items()):
+            c = c1 * c2
+            for g in enumerate_compositions(g1, g2):
+                accumulate(acc, g, c)
+        return self._raw(acc)
 
     def __repr__(self) -> str:
         if not self._terms:
@@ -508,19 +528,24 @@ def project(g: DiagGraph) -> NormalMonomial:
 
 
 def _shape(g: DiagGraph) -> tuple[int, int]:
-    """:func:`project` as a plain ``(whites, grays)`` pair, a polynomial's loop key."""
+    """:func:`project` as a plain ``(whites, grays)`` pair, the walk's leaf key."""
     return len(g.dangling_out), len(g.dangling_in)
 
 
 def project_sum(x: GraphSum) -> NormalPolynomial:
     """Linear extension of :func:`project`; an algebra homomorphism.
 
-    The coefficients are added per projection as integer numerators over
-    their common denominator; each nonzero sum is divided once.
+    One pass adds the coefficients per ``(whites, grays)`` as integer
+    numerators over their common denominator; each nonzero sum is divided once.
     """
-    den, numerators = _integer_numerators(x._terms, _shape)
+    coeffs = x._terms.values()
+    den = lcm(*{c._re.denominator for c in coeffs}, *{c._im.denominator for c in coeffs})
     sums: dict = {}
-    for key, re, im in numerators:
+    for g, c in x._terms.items():
+        key = len(g.dangling_out), len(g.dangling_in)
+        re, im = c._re, c._im
+        if den != 1:
+            re, im = re.numerator * (den // re.denominator), im.numerator * (den // im.denominator)
         total = sums.get(key)
         if total is None:
             sums[key] = [re, im]

@@ -14,10 +14,10 @@ always exact.
 
 :class:`LinearCombination` is the one sparse core both algebras share: a
 finitely supported map from basis keys to nonzero coefficients, kept pruned
-by :func:`accumulate`.  Normally ordered polynomials and formal sums of
-graphs differ only in their basis, and both multiply through the core's one
-product loop, :func:`_pair_numerators`, on ``int`` numerators over a common
-denominator that is divided out once per result term.
+by :func:`accumulate`.  Polynomials multiply through its product loop,
+:func:`_pair_numerators`, on ``int`` numerators over a common denominator
+divided out once per result term; a graph sum adds one coefficient product
+per pair of terms to each of the pair's compositions with :func:`accumulate`.
 
 :class:`Record` is the base of the package's small immutable values:
 scalars, monomials, vertices, graphs, expression nodes and oracle reports.
@@ -271,8 +271,8 @@ def accumulate(acc: dict, key: Hashable, coeff) -> None:
 
     The accumulate-and-prune step of the sum structures; it works for any
     coefficient type whose truth value is "nonzero" (ints included).  The
-    product loop :func:`_pair_numerators` and ``graphs.project_sum`` keep
-    their own ``[re, im]`` numerator sums and prune once at the end.
+    polynomial product :func:`_pair_numerators` and ``graphs.project_sum``
+    keep their own ``[re, im]`` numerator sums and prune once at the end.
     """
     total = acc.get(key)
     total = coeff if total is None else total + coeff
@@ -294,7 +294,7 @@ def _pair_numerators(left: list[tuple], right: list[tuple], expand) -> list[tupl
     """Product of ``(key, re, im)`` numerator lists, over their denominators' product.
 
     ``expand(k1, k2)`` yields ``(key, weight)`` pairs with ``int`` weights; keys
-    whose sum is zero are dropped.  The only product loop in the package.
+    whose sum is zero are dropped.  The product loop of polynomials.
     """
     sums: dict = {}
     for k1, a, b in left:
@@ -316,15 +316,15 @@ class LinearCombination:
     Zero coefficients are pruned on construction and by every operation, so
     two equal sums always have identical term maps.  A subclass fixes its
     basis: ``_key`` normalizes a key on the way in, ``_sort_key`` orders
-    :meth:`terms`, and the subclass's ``__mul__`` passes its basis product
-    to :meth:`_product`, whose loop sees ``_loop_key(key)`` for a stored key
-    and stores ``_stored_key(key)`` for a key it yields (both the identity
-    here).  Sums over different bases never combine or compare equal.
+    :meth:`terms`.  One that passes its basis product to :meth:`_product`
+    defines the loop's key maps: the loop sees ``_loop_key(key)`` for a
+    stored key and stores ``_stored_key(key)`` for a key it yields.  Sums
+    over different bases never combine or compare equal.
     """
 
     __slots__ = ("_terms",)
 
-    _key = _loop_key = _stored_key = staticmethod(lambda key: key)
+    _key = staticmethod(lambda key: key)
 
     def __init__(self, terms: Mapping | Iterable[tuple] = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms

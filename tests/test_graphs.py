@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 import subprocess
 import sys
@@ -540,6 +542,29 @@ def test_walk_is_linear_in_the_word_length():
     assert opcodes(normal_order_via_graphs, word(400)) <= 2.1 * opcodes(normal_order_via_graphs, word(200))
 
 
+def test_walk_is_linear_in_a_run_of_grays():
+    # a^k ad.  The last letter's k gray combinations each leave k - 1 grays;
+    # they must be picked out in C, not by a Python scan of the prefix's grays.
+    def word(k):
+        return word_from_str("a " * k + "ad")
+
+    normal_order_via_graphs(word(2))  # fills the per-shape caches
+    assert opcodes(normal_order_via_graphs, word(400)) <= 2.1 * opcodes(normal_order_via_graphs, word(200))
+
+
+def test_graph_sum_product_work_does_not_grow_with_the_vertex_count():
+    # 34 compositions for every k, of k + 2 vertices each.  Hashing one must
+    # not hash its vertices again: the vertex tuple of a pair hashes them once.
+    def work(k):
+        left = GraphSum.basis(build_iteratively([(3, 3, 0)] + [(1, 1, 1)] * k))
+        right = GraphSum.basis(make_vertex(3, 3))
+        assert len(left * right) == 34
+        return opcodes(mul, left, right)
+
+    work(1)  # fills the per-shape caches
+    assert work(100) <= 1.25 * work(50)
+
+
 def test_walk_keeps_no_prefix_sum():
     # The product of graph sums peaks at about 2 MB here: it holds all 877
     # graphs of (a ad)^6 while it builds the 4140 of (a ad)^7.
@@ -630,6 +655,85 @@ def test_graph_sum_product_with_exact_complex_coefficients():
         for coeff in product._terms.values():
             for part in (coeff._re, coeff._im):
                 assert type(part) is int or part.denominator != 1
+
+
+# -- the product of graph sums --------------------------------------------------------
+
+X = make_vertex(1, 1)
+
+
+def pairwise_product(x: GraphSum, y: GraphSum) -> dict:
+    """The product's terms as a sum over pairs of terms, each composition at ``c1 * c2``."""
+    terms: dict = {}
+    for g1, c1 in x.terms():
+        for g2, c2 in y.terms():
+            for g in enumerate_compositions(g1, g2):
+                terms[g] = terms.get(g, 0) + c1 * c2
+    return {g: c for g, c in terms.items() if c}
+
+
+def test_compositions_of_different_pairs_add_up():
+    # The void graph composed with X gives X either way round.
+    one, x = GraphSum.one(), GraphSum.basis(X)
+    product = (one + x) * (x + one)
+    assert product.coefficient(X) == 2 and product.coefficient(void_graph()) == 1
+    assert len(product) == 2 + count_matchings(1, 1)
+    product = (one + x) * (x - one)
+    assert X not in product._terms and product.coefficient(X) == 0
+    assert product.coefficient(void_graph()) == -1 and len(product) == 1 + count_matchings(1, 1)
+    assert product == x * x - one
+
+
+def test_graph_sum_product_is_the_sum_over_pairs():
+    rng = random.Random(28)
+    pool = [void_graph(), X, make_vertex(0, 1), make_vertex(1, 0), make_vertex(2, 1)]
+
+    def random_sum():
+        graphs = rng.sample(pool, rng.randint(1, 3)) + [random_graph(rng, max_vertices=2)]
+        return GraphSum((g, GaussianRational(Fraction(rng.randint(-3, 3), rng.randint(1, 4)),
+                                             Fraction(rng.randint(-3, 3), rng.randint(1, 4))))
+                        for g in graphs)
+
+    for _ in range(40):
+        x, y = random_sum(), random_sum()
+        product = x * y
+        assert product._terms == pairwise_product(x, y)
+        for coeff in product._terms.values():
+            assert coeff and all(type(part) is int or part.denominator != 1
+                                 for part in (coeff._re, coeff._im))
+
+
+def built_graphs() -> list[DiagGraph]:
+    """Graphs from each way the package composes: ``compose``, enumeration, a fold, a product."""
+    g1, g2 = build_iteratively([(1, 2, 0), (2, 1, 1)]), make_vertex(2, 2)
+    product = GraphSum([(g1, 2), (X, 1)]) * GraphSum([(g2, 3), (void_graph(), 1)])
+    return [compose(g1, g2, ((g1.dangling_in[-1], g2.dangling_out[0]),)),
+            build_iteratively([(2, 1, 0), (1, 2, 1), (1, 1, 2)]),
+            *enumerate_compositions(g2, g1), *product._terms]
+
+
+def fields_of(g: DiagGraph) -> tuple:
+    return tuple(g.vertices), g.edges, g.dangling_in, g.dangling_out
+
+
+def test_compositions_hash_like_their_field_tuple():
+    graphs = built_graphs()
+    for g in reversed(graphs):  # the last composition of a pair hashed first
+        assert hash(g) == hash(fields_of(g)) == hash(g)
+        assert hash(g) == hash(DiagGraph(*fields_of(g)))
+
+
+def test_compositions_serialize_like_graphs_built_from_their_fields():
+    for g in built_graphs():
+        fresh = DiagGraph(*fields_of(g))
+        hash(g)
+        assert repr(g) == repr(fresh)
+        assert graph_to_json(g) == graph_to_json(fresh)
+        assert canonical_encode(g) == canonical_encode(fresh)
+        assert pickle.dumps(g) == pickle.dumps(fresh)
+        assert pickle.loads(pickle.dumps(g)) == g
+        clone = copy.deepcopy(g)
+        assert clone == g and hash(clone) == hash(g)
 
 
 def test_graph_sum_cancellation_prunes():

@@ -144,6 +144,30 @@ def check_project_sum_per_term():
     assert graphs.project_sum(x) == NormalPolynomial((graphs.project(g), c) for g, c in x.terms())
 
 
+def check_compositions_hash_like_their_fields():
+    g1, g2 = build_iteratively([(1, 2, 0), (1, 1, 1)]), make_vertex(2, 1)
+    for g in enumerate_compositions(g1, g2):
+        assert hash(g) == hash((tuple(g.vertices), g.edges, g.dangling_in, g.dangling_out))
+
+
+def check_graph_sum_products_over_pairs():
+    gr = scalars.GaussianRational
+    x = graphs.GraphSum([(make_vertex(1, 1), gr(Fraction(1, 2), 1)), (make_vertex(0, 1), gr(2, -1))])
+    y = graphs.GraphSum([(make_vertex(1, 0), gr(0, Fraction(1, 3))), (make_vertex(1, 2), gr(3, 2))])
+    expected: dict = {}
+    for g1, c1 in x.terms():
+        for g2, c2 in y.terms():
+            for g in enumerate_compositions(g1, g2):
+                expected[g] = c1 * c2
+    assert (x * y)._terms == expected
+
+
+def check_graph_sum_collisions_add_up():
+    # The void graph composed with X gives X either way round.
+    one, x = graphs.GraphSum.one(), graphs.GraphSum.basis(make_vertex(1, 1))
+    assert ((one + x) * (x + one)).coefficient(make_vertex(1, 1)) == 2
+
+
 def _fields(g: DiagGraph) -> tuple:
     return (tuple((v.in_ports, v.out_ports) for v in g.vertices),
             g.edges, g.dangling_in, g.dangling_out)
@@ -326,6 +350,19 @@ FAULTS = {
     "project_sum drops the imaginary numerators": (
         _recompiled(graphs, "project_sum", r"\(key, re, im\) for key", "(key, re, 0) for key"),
         check_project_sum_per_term),
+    "the shared vertex hash computed from g1's vertices alone": (
+        _recompiled(graphs, "_assembler", r"^( +)(vertices = _Vertices\(.*\))$",
+                    r"\1\2\n\1vertices._hash = hash(g1.vertices)"),
+        check_compositions_hash_like_their_fields),
+    "the pair coefficient is c1": (
+        _recompiled(graphs.GraphSum, "__mul__", r"c1 \* c2", "c1"),
+        check_graph_sum_products_over_pairs),
+    "the pair coefficient is c1 * c2.conjugate()": (
+        _recompiled(graphs.GraphSum, "__mul__", r"c1 \* c2", "c1 * c2.conjugate()"),
+        check_graph_sum_products_over_pairs),
+    "a collision overwrites the coefficient instead of adding to it": (
+        _recompiled(graphs.GraphSum, "__mul__", r"accumulate\(acc, g, c\)", "acc[g] = c"),
+        check_graph_sum_collisions_add_up),
     "order of the transposed shape": (
         lambda mp: _wrap(mp, graphs, "_bucket_order",
                          lambda true: lambda n_gray, n_white, size: true(n_white, n_gray, size)),
