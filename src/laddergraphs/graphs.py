@@ -236,12 +236,16 @@ def void_graph() -> DiagGraph:
 def make_vertex(r: int, s: int) -> DiagGraph:
     """A single vertex with ``r`` white out-lines and ``s`` gray in-lines.
 
-    ``make_vertex(0, 0)`` is an isolated vertex, not the void graph.
+    ``make_vertex(0, 0)`` is an isolated vertex, not the void graph.  Counts
+    that are negative, or too large for a tuple to hold, raise ``ValueError``.
     """
     if r < 0 or s < 0:
         raise ValueError("line counts must be nonnegative")
-    out_ports = tuple(range(r))
-    in_ports = tuple(range(r, r + s))
+    try:  # past about 2**60 ports, tuple() refuses before it allocates anything
+        out_ports = tuple(range(r))
+        in_ports = tuple(range(r, r + s))
+    except (OverflowError, MemoryError):
+        raise ValueError(f"line counts too large to build: ({r}, {s})") from None
     return DiagGraph._trusted(
         (Vertex(in_ports=in_ports, out_ports=out_ports),), (), in_ports, out_ports
     )
@@ -552,7 +556,7 @@ def project_sum(x: GraphSum) -> NormalPolynomial:
         else:
             total[0] += re
             total[1] += im
-    return NormalPolynomial.zero()._from_numerators(
+    return NormalPolynomial._from_numerators(
         den, [(key, re, im) for key, (re, im) in sums.items() if re or im])
 
 
@@ -581,7 +585,7 @@ def normal_order_via_graphs(word: Word) -> NormalPolynomial:
         else:
             for bucket in buckets:
                 leaves.update(map(_shape, bucket))
-    return NormalPolynomial.zero()._from_numerators(1, [(key, n, 0) for key, n in leaves.items()])
+    return NormalPolynomial._from_numerators(1, [(key, n, 0) for key, n in leaves.items()])
 
 
 # ---------------------------------------------------------------------------

@@ -12,10 +12,11 @@ which is the closed form of repeatedly commuting a lowering operator past a
 raising one with commutator equal to the identity.  Polynomials are finitely
 supported sums of basis elements with :class:`GaussianRational` coefficients,
 built on the sparse linear-combination core of :mod:`laddergraphs.scalars`
-(:class:`LinearCombination` and :func:`accumulate`); their product is the
-core's bilinear product with the cached closed form above as its basis
-product.  That loop runs on plain ``(r, s)`` pairs; each result term leaves it
-as one interned :class:`NormalMonomial`.  All arithmetic is exact.
+(:class:`LinearCombination` and :func:`accumulate`).  They store each term
+under its plain ``(r, s)`` pair; :class:`NormalMonomial` is the public view
+of a key.  Their product, defined here, runs on those pairs with the cached
+closed form above as its basis product, on ``int`` numerators over a common
+denominator divided out once per result term.  All arithmetic is exact.
 
 Free (unordered) words in the two generators are normalized by two
 independent strategies, a rewrite engine and a fold over basis products,
@@ -25,12 +26,14 @@ The rewrite engine takes words by descending inversion count, each once.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from enum import Enum
+from fractions import Fraction
 from functools import cache, reduce
-from math import comb, factorial
-from operator import attrgetter, mul
+from math import comb, factorial, lcm
+from operator import mul
 
-from .scalars import ONE, GaussianRational, LinearCombination, Record, ScalarLike, accumulate
+from .scalars import ONE, GaussianRational, LinearCombination, Record, ScalarLike, _integral, accumulate
 
 MonomialLike = "NormalMonomial | tuple[int, int]"
 
@@ -67,32 +70,33 @@ LOWER = _monomial(0, 1)
 RAISE = _monomial(1, 0)
 
 
-def _as_monomial(m: "MonomialLike") -> NormalMonomial:
-    if isinstance(m, NormalMonomial):
-        return m
-    return NormalMonomial(*m)
+def _as_pair(m: "MonomialLike") -> tuple[int, int]:
+    """The stored ``(r, s)`` key of a monomial or a pair, checked like a :class:`NormalMonomial`."""
+    if not isinstance(m, NormalMonomial):
+        m = NormalMonomial(*m)
+    return m.r, m.s
 
 
-def _term_sort_key(m: NormalMonomial) -> tuple[int, int]:
+def _term_sort_key(key: tuple[int, int]) -> tuple[int, int]:
     # Graded order: descending total degree, then descending r.
-    return (-m.degree, -m.r)
+    return (-key[0] - key[1], -key[0])
 
 
 class NormalPolynomial(LinearCombination):
     """Finitely supported sum of :class:`NormalMonomial` with exact coefficients.
 
-    Immutable and hashable.  Pruning, ``+``, ``-``, :meth:`scale` and ``==``
-    come from the shared :class:`~laddergraphs.scalars.LinearCombination`
-    core; this class adds the monomial basis, its graded order and the
-    closed-form product.
+    Immutable and hashable.  Terms are stored under plain ``(r, s)`` pairs;
+    :meth:`terms` and :meth:`monomials` show them as interned monomials, and
+    the constructor, :meth:`coefficient` and :meth:`from_json` take monomials
+    or pairs.  Pruning, ``+``, ``-``, :meth:`scale` and ``==`` come from the
+    shared :class:`~laddergraphs.scalars.LinearCombination` core; this class
+    adds the monomial basis, its graded order and the closed-form product.
     """
 
     __slots__ = ()
 
-    _key = staticmethod(_as_monomial)
+    _key = staticmethod(_as_pair)
     _sort_key = staticmethod(_term_sort_key)
-    _loop_key = staticmethod(attrgetter("r", "s"))
-    _stored_key = staticmethod(lambda pair: _monomial(*pair))
 
     # -- constructors ------------------------------------------------------
 
@@ -104,7 +108,20 @@ class NormalPolynomial(LinearCombination):
     def monomial(cls, m: MonomialLike, coeff: ScalarLike = ONE) -> "NormalPolynomial":
         return cls([(m, coeff)])
 
+    @classmethod
+    def _from_numerators(cls, den: int, numerators: list[tuple]) -> "NormalPolynomial":
+        """Wrap nonzero ``((r, s), re, im)`` numerators over ``den``, storing each pair as given."""
+        raw = GaussianRational._raw
+        if den == 1:
+            return cls._raw({key: raw(re, im) for key, re, im in numerators})
+        return cls._raw({key: raw(_integral(Fraction(re, den)), _integral(Fraction(im, den)))
+                         for key, re, im in numerators})
+
     # -- inspection ---------------------------------------------------------
+
+    def terms(self) -> Iterator[tuple[NormalMonomial, GaussianRational]]:
+        """Iterate ``(monomial, coefficient)`` in graded order."""
+        return ((_monomial(*key), c) for key, c in super().terms())
 
     def monomials(self) -> list[NormalMonomial]:
         return [m for m, _ in self.terms()]
@@ -115,12 +132,23 @@ class NormalPolynomial(LinearCombination):
         """Bilinear extension of the basis product; noncommutative."""
         if not isinstance(other, NormalPolynomial):
             return NotImplemented
-        return self._product(other, _basis_product)
+        den1, left = _integer_numerators(self._terms)
+        den2, right = _integer_numerators(other._terms)
+        return self._from_numerators(den1 * den2, _pair_numerators(left, right))
 
     def __pow__(self, n: int) -> "NormalPolynomial":
+        """``n`` factors ``self``, multiplied left to right, over one denominator.
+
+        After ``k`` steps the running power is ``int`` numerators over ``D**k``,
+        ``D`` the base's common denominator; each result term is divided once.
+        """
         if not isinstance(n, int) or isinstance(n, bool) or n < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        return self._power(n, IDENTITY, _basis_product)
+        den, base = _integer_numerators(self._terms)
+        power = [((0, 0), 1, 0)]
+        for _ in range(n):
+            power = _pair_numerators(power, base)
+        return self._from_numerators(den ** n, power)
 
     # -- hashing and display ---------------------------------------------------
 
@@ -151,8 +179,7 @@ class NormalPolynomial(LinearCombination):
         """
         try:
             return cls(
-                [(NormalMonomial(t["r"], t["s"]), GaussianRational.from_json(t["coeff"]))
-                 for t in obj]
+                [((t["r"], t["s"]), GaussianRational.from_json(t["coeff"])) for t in obj]
             )
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed polynomial record: {exc}") from exc
@@ -168,6 +195,35 @@ def _basis_product(m1: tuple[int, int], m2: tuple[int, int]) -> tuple[tuple[tupl
     )
 
 
+def _integer_numerators(terms: dict) -> tuple[int, list[tuple]]:
+    """``(D, [((r, s), D*re, D*im), ...])``: the terms over their least common denominator."""
+    coeffs = terms.values()
+    den = lcm(*{c._re.denominator for c in coeffs}, *{c._im.denominator for c in coeffs})
+    return den, [(key, c._re.numerator * (den // c._re.denominator),
+                  c._im.numerator * (den // c._im.denominator)) for key, c in terms.items()]
+
+
+def _pair_numerators(left: list[tuple], right: list[tuple]) -> list[tuple]:
+    """Product of ``((r, s), re, im)`` numerator lists, over their denominators' product.
+
+    Each pair of terms multiplies its coefficients once and adds them, times
+    the weights of :func:`_basis_product`, to one ``[re, im]`` sum per result
+    pair; pairs whose sum is zero are dropped.  The product loop of polynomials.
+    """
+    sums: dict = {}
+    for k1, a, b in left:
+        for k2, c, d in right:
+            re, im = a * c - b * d, a * d + b * c
+            for key, weight in _basis_product(k1, k2):
+                total = sums.get(key)
+                if total is None:
+                    sums[key] = [re * weight, im * weight]
+                else:
+                    total[0] += re * weight
+                    total[1] += im * weight
+    return [(key, re, im) for key, (re, im) in sums.items() if re or im]
+
+
 def multiply_monomials(m1: MonomialLike, m2: MonomialLike) -> NormalPolynomial:
     """Closed-form product of two basis elements.
 
@@ -175,8 +231,7 @@ def multiply_monomials(m1: MonomialLike, m2: MonomialLike) -> NormalPolynomial:
     ``min(k, s) + 1`` terms with positive integer coefficients
     ``i! * C(s, i) * C(k, i)``; the ``i = 0`` term always has coefficient 1.
     """
-    m1, m2 = _as_monomial(m1), _as_monomial(m2)
-    return NormalPolynomial(_basis_product((m1.r, m1.s), (m2.r, m2.s)))
+    return NormalPolynomial(_basis_product(_as_pair(m1), _as_pair(m2)))
 
 
 def commutator_powers(s: int, k: int) -> NormalPolynomial:

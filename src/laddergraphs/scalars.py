@@ -14,10 +14,8 @@ always exact.
 
 :class:`LinearCombination` is the one sparse core both algebras share: a
 finitely supported map from basis keys to nonzero coefficients, kept pruned
-by :func:`accumulate`.  Polynomials multiply through its product loop,
-:func:`_pair_numerators`, on ``int`` numerators over a common denominator
-divided out once per result term; a graph sum adds one coefficient product
-per pair of terms to each of the pair's compositions with :func:`accumulate`.
+by :func:`accumulate`, with sums, scaling and equality.  Each algebra
+defines its own product on top of it.
 
 :class:`Record` is the base of the package's small immutable values:
 scalars, monomials, vertices, graphs, expression nodes and oracle reports.
@@ -26,9 +24,8 @@ scalars, monomials, vertices, graphs, expression nodes and oracle reports.
 from __future__ import annotations
 
 import re as _regex
+from collections.abc import Hashable, Iterable, Iterator, Mapping
 from fractions import Fraction
-from math import lcm
-from typing import Callable, Hashable, Iterable, Iterator, Mapping
 
 RationalLike = int | Fraction
 ScalarLike = "int | Fraction | GaussianRational"
@@ -271,7 +268,7 @@ def accumulate(acc: dict, key: Hashable, coeff) -> None:
 
     The accumulate-and-prune step of the sum structures; it works for any
     coefficient type whose truth value is "nonzero" (ints included).  The
-    polynomial product :func:`_pair_numerators` and ``graphs.project_sum``
+    polynomial product ``ladder._pair_numerators`` and ``graphs.project_sum``
     keep their own ``[re, im]`` numerator sums and prune once at the end.
     """
     total = acc.get(key)
@@ -282,44 +279,13 @@ def accumulate(acc: dict, key: Hashable, coeff) -> None:
         acc.pop(key, None)
 
 
-def _integer_numerators(terms: dict, loop_key) -> tuple[int, list[tuple]]:
-    """``(D, [(loop key, D*re, D*im), ...])``: the terms over their least common denominator."""
-    coeffs = terms.values()
-    den = lcm(*{c._re.denominator for c in coeffs}, *{c._im.denominator for c in coeffs})
-    return den, [(loop_key(key), c._re.numerator * (den // c._re.denominator),
-                  c._im.numerator * (den // c._im.denominator)) for key, c in terms.items()]
-
-
-def _pair_numerators(left: list[tuple], right: list[tuple], expand) -> list[tuple]:
-    """Product of ``(key, re, im)`` numerator lists, over their denominators' product.
-
-    ``expand(k1, k2)`` yields ``(key, weight)`` pairs with ``int`` weights; keys
-    whose sum is zero are dropped.  The product loop of polynomials.
-    """
-    sums: dict = {}
-    for k1, a, b in left:
-        for k2, c, d in right:
-            re, im = a * c - b * d, a * d + b * c
-            for key, weight in expand(k1, k2):
-                total = sums.get(key)
-                if total is None:
-                    sums[key] = [re * weight, im * weight]
-                else:
-                    total[0] += re * weight
-                    total[1] += im * weight
-    return [(key, re, im) for key, (re, im) in sums.items() if re or im]
-
-
 class LinearCombination:
     """Immutable finitely supported sum of basis keys with exact coefficients.
 
     Zero coefficients are pruned on construction and by every operation, so
     two equal sums always have identical term maps.  A subclass fixes its
     basis: ``_key`` normalizes a key on the way in, ``_sort_key`` orders
-    :meth:`terms`.  One that passes its basis product to :meth:`_product`
-    defines the loop's key maps: the loop sees ``_loop_key(key)`` for a
-    stored key and stores ``_stored_key(key)`` for a key it yields.  Sums
-    over different bases never combine or compare equal.
+    :meth:`terms`.  Sums over different bases never combine or compare equal.
     """
 
     __slots__ = ("_terms",)
@@ -376,32 +342,6 @@ class LinearCombination:
         if not isinstance(other, type(self)):
             return NotImplemented
         return self + (-other)
-
-    def _product(self, other, expand: Callable[[Hashable, Hashable], Iterable[tuple]]):
-        """The bilinear product whose basis product ``expand`` acts on loop keys."""
-        den1, left = _integer_numerators(self._terms, self._loop_key)
-        den2, right = _integer_numerators(other._terms, self._loop_key)
-        return self._from_numerators(den1 * den2, _pair_numerators(left, right, expand))
-
-    def _power(self, n: int, unit: Hashable, expand):
-        """``unit`` times ``n`` factors ``self``, left to right, over one denominator.
-
-        After ``k`` steps the running power is ``int`` numerators over ``D**k``,
-        ``D`` the base's common denominator; each result key is divided once.
-        """
-        den, base = _integer_numerators(self._terms, self._loop_key)
-        power = [(self._loop_key(unit), 1, 0)]
-        for _ in range(n):
-            power = _pair_numerators(power, base, expand)
-        return self._from_numerators(den ** n, power)
-
-    def _from_numerators(self, den: int, numerators: list[tuple]):
-        """Wrap nonzero ``(loop key, re, im)`` numerators over ``den`` as a sum of this class."""
-        raw, key_of = GaussianRational._raw, self._stored_key
-        if den == 1:
-            return self._raw({key_of(key): raw(re, im) for key, re, im in numerators})
-        return self._raw({key_of(key): raw(_integral(Fraction(re, den)), _integral(Fraction(im, den)))
-                          for key, re, im in numerators})
 
     def scale(self, c: "ScalarLike"):
         c = GaussianRational.coerce(c)

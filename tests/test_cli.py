@@ -106,6 +106,22 @@ def test_unwritable_dot_directory_is_one_error_line(capsys, tmp_path, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("compose", str(10**20), "0", "0", "0"),  # no ssize_t holds the size
+    ("compose", str(2**62), "0", "0", "0"),  # refused before anything is allocated
+    ("compose", "0", "0", "0", str(2**62)),
+    ("render", f"{10**20},1"),
+    ("render", f"1,0;0,{2**62}"),
+])
+def test_sizes_that_cannot_be_built_are_one_error_line(capsys, tmp_path, argv):
+    if argv[0] == "render":
+        argv += ("--dot", str(tmp_path / "out"))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_project_check(capsys):
     code, out, _ = run_cli(capsys, "project-check", "--bounds", "2,2,2,2")
     assert code == 0

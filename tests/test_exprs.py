@@ -25,6 +25,7 @@ from laddergraphs.exprs import (
 )
 from laddergraphs.ladder import Letter, NormalMonomial, NormalPolynomial
 from laddergraphs.scalars import GaussianRational
+from test_graphs import opcodes
 
 A = LetterExpr(Letter.ANNIHILATOR)
 AD = LetterExpr(Letter.CREATOR)
@@ -214,6 +215,17 @@ def test_evaluate_hand_built_deep_tree():
         m = SumExpr((ScaledExpr(two, PowerExpr(ProductExpr((m, IdentityExpr())), 1)),
                      ScaledExpr(minus_one, A)))
     assert evaluate(m) == NormalPolynomial.monomial((0, 1))
+
+
+def test_warm_evaluate_calls_no_monomial_method_and_no_lambda():
+    # Polynomials store (r, s) pairs, so no term of the power is hashed, built
+    # or read as a NormalMonomial, and no key goes through a lambda.  The one
+    # lambda called is the power node's own fold in exprs.
+    node = parse("(a+ad)^30")
+    evaluate(node)  # fills the basis-product cache
+    _, calls = opcodes(evaluate, node)
+    assert calls["NormalPolynomial.__pow__"] == 1 and calls["<lambda>"] == 1
+    assert [name for name in calls if name.startswith("NormalMonomial.")] == []
 
 
 # -- canonical formatting ----------------------------------------------------------------

@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from functools import reduce
 from itertools import product
@@ -72,6 +73,9 @@ def test_isolated_vertex_is_not_the_void_graph():
 def test_validation_rejects_bad_structures():
     with pytest.raises(ValueError):
         make_vertex(-1, 0)
+    for r, s in ((10**20, 1), (0, 2**62)):  # no tuple holds them; nothing is allocated
+        with pytest.raises(ValueError, match="too large to build"):
+            make_vertex(r, s)
     with pytest.raises(ValueError):  # labels not contiguous
         DiagGraph(vertices=(Vertex(in_ports=(5,), out_ports=()),), dangling_in=(5,))
     with pytest.raises(ValueError):  # duplicate label inside one vertex
@@ -512,12 +516,23 @@ def test_walk_goes_deeper_than_the_recursion_limit():
     assert normal_order_via_graphs(word) == NormalPolynomial({(600, 600): 1, (599, 599): 1})
 
 
-def opcodes(function, *args) -> int:
-    """The Python opcodes that ``function(*args)`` runs, counted by a trace function."""
+def opcodes(function, *args) -> tuple[int, Counter]:
+    """The Python opcodes that ``function(*args)`` runs, and its calls by function name.
+
+    Both are counted by a trace function.  A method's name is prefixed with
+    the class of its ``self``, whether it defines the method or inherits it.
+    """
     count = 0
+    calls = Counter()
 
     def trace(frame, event, arg):
         nonlocal count
+        if event == "call":
+            code = frame.f_code
+            name = code.co_name
+            if code.co_argcount and code.co_varnames[0] == "self":
+                name = f"{type(frame.f_locals['self']).__name__}.{name}"
+            calls[name] += 1
         frame.f_trace_opcodes = True
         count += event == "opcode"
         return trace
@@ -528,7 +543,7 @@ def opcodes(function, *args) -> int:
         function(*args)
     finally:
         sys.settrace(previous)
-    return count
+    return count, calls
 
 
 def test_walk_is_linear_in_the_word_length():
@@ -539,7 +554,8 @@ def test_walk_is_linear_in_the_word_length():
         return word_from_str("ad " * k + "a ad " + "a " * k)
 
     normal_order_via_graphs(word(2))  # fills the per-shape caches
-    assert opcodes(normal_order_via_graphs, word(400)) <= 2.1 * opcodes(normal_order_via_graphs, word(200))
+    work = [opcodes(normal_order_via_graphs, word(k))[0] for k in (200, 400)]
+    assert work[1] <= 2.1 * work[0]
 
 
 def test_walk_is_linear_in_a_run_of_grays():
@@ -549,7 +565,8 @@ def test_walk_is_linear_in_a_run_of_grays():
         return word_from_str("a " * k + "ad")
 
     normal_order_via_graphs(word(2))  # fills the per-shape caches
-    assert opcodes(normal_order_via_graphs, word(400)) <= 2.1 * opcodes(normal_order_via_graphs, word(200))
+    work = [opcodes(normal_order_via_graphs, word(k))[0] for k in (200, 400)]
+    assert work[1] <= 2.1 * work[0]
 
 
 def test_graph_sum_product_work_does_not_grow_with_the_vertex_count():
@@ -559,7 +576,7 @@ def test_graph_sum_product_work_does_not_grow_with_the_vertex_count():
         left = GraphSum.basis(build_iteratively([(3, 3, 0)] + [(1, 1, 1)] * k))
         right = GraphSum.basis(make_vertex(3, 3))
         assert len(left * right) == 34
-        return opcodes(mul, left, right)
+        return opcodes(mul, left, right)[0]
 
     work(1)  # fills the per-shape caches
     assert work(100) <= 1.25 * work(50)

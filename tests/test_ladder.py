@@ -7,6 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference
+from laddergraphs import ladder
+from laddergraphs.graphs import GraphSum, make_vertex, normal_order_via_graphs, project_sum
 from laddergraphs.ladder import (
     IDENTITY,
     LOWER,
@@ -178,7 +180,7 @@ def test_product_matches_two_fraction_model(p, q):
         {m: (Fraction(x), Fraction(y)) for m, (x, y) in p.items()},
         {m: (Fraction(x), Fraction(y)) for m, (x, y) in q.items()},
     )
-    assert {(m.r, m.s): (c.re, c.im) for m, c in product._terms.items()} == expected
+    assert {(m.r, m.s): (c.re, c.im) for m, c in product.terms()} == expected
     assert_stored_form(product)
 
 
@@ -199,42 +201,48 @@ def test_product_stores_integral_parts_as_int():
     assert_stored_form(product)
 
 
-def test_product_prunes_cancelled_terms():
+def test_product_prunes_cancelled_terms(monkeypatch):
     # (a + ad)(a - ad) = a^2 - ad^2 - 1: the two ad a terms cancel.
     product = NormalPolynomial({(0, 1): 1, (1, 0): 1}) * NormalPolynomial({(0, 1): 1, (1, 0): -1})
     assert product == NormalPolynomial({(0, 2): 1, (2, 0): -1, (0, 0): -1})
-    assert len(product) == 3 and NormalMonomial(1, 1) not in product._terms
+    assert len(product) == 3 and (1, 1) not in product._terms
     c = GaussianRational(Fraction(1, 2), 3)
     p = NormalPolynomial({(0, 1): c, (1, 0): -c})
     assert len(p * NormalPolynomial.zero()) == 0
     assert len(NormalPolynomial.zero() * p) == 0
-    # A basis product that sends every pair to one loop key, the (r, s) pair
+    # A basis product that sends every pair to one key, the (r, s) pair
     # (0, 0): the sum cancels to 0.
-    def collapse(k1, k2):
-        return [((0, 0), 1)]
-
-    collapsed = p._product(NormalPolynomial.one(), collapse)
+    monkeypatch.setattr(ladder, "_basis_product", lambda k1, k2: [((0, 0), 1)])
+    collapsed = p * NormalPolynomial.one()
     assert len(collapsed) == 0 and not collapsed
-    # Without the cancellation the one loop key maps back to IDENTITY.
-    doubled = NormalPolynomial({(0, 1): c, (1, 0): c})._product(NormalPolynomial.one(), collapse)
+    # Without the cancellation the one key is shown as IDENTITY.
+    doubled = NormalPolynomial({(0, 1): c, (1, 0): c}) * NormalPolynomial.one()
     assert doubled == NormalPolynomial({IDENTITY: c * 2})
-    assert [m is IDENTITY for m in doubled._terms] == [True]
+    assert list(doubled._terms) == [(0, 0)] and doubled.monomials()[0] is IDENTITY
 
 
-def assert_monomial_keys(p: NormalPolynomial) -> None:
-    """Every stored key is a NormalMonomial; ``p`` equals its rebuild from fresh ones."""
-    assert all(type(m) is NormalMonomial for m in p._terms)
-    rebuilt = NormalPolynomial({NormalMonomial(m.r, m.s): c for m, c in p._terms.items()})
+def assert_pair_keys(p: NormalPolynomial) -> None:
+    """Every stored key is a ``tuple`` of two ``int``s, no ``bool``; ``p`` equals
+    its rebuild from fresh monomials, with an equal hash."""
+    for key in p._terms:
+        assert type(key) is tuple and len(key) == 2 and all(type(x) is int for x in key), key
+    rebuilt = NormalPolynomial({NormalMonomial(*key): c for key, c in p._terms.items()})
     assert p == rebuilt and hash(p) == hash(rebuilt)
 
 
-@given(polys, polys, st.integers(0, 5), words,
-       st.one_of(monomials, st.tuples(st.integers(0, 4), st.integers(0, 4))), monomials)
+pairs = st.tuples(st.integers(0, 4), st.integers(0, 4))
+
+
+@given(polys, polys, st.integers(0, 5), words, st.one_of(monomials, pairs), monomials,
+       st.lists(st.tuples(st.one_of(monomials, pairs), coeffs), max_size=4))
 @settings(deadline=None)
-def test_results_are_keyed_by_normal_monomials(p, q, n, word, m1, m2):
-    # The product loop runs on (r, s) pairs; no pair may leak into a result.
-    for result in (p * q, p ** n, normal_order_fold(word), multiply_monomials(m1, m2)):
-        assert_monomial_keys(result)
+def test_results_are_keyed_by_int_pairs(p, q, n, word, m1, m2, items):
+    # Terms are stored under plain (r, s) pairs on every construction path.
+    vertices = GraphSum([(make_vertex(m.r, m.s), c) for m, c in p.terms()])
+    for result in (p * q, p ** n, normal_order_fold(word), multiply_monomials(m1, m2),
+                   project_sum(vertices), normal_order_via_graphs(word), NormalPolynomial(items),
+                   NormalPolynomial.from_json(p.to_json())):
+        assert_pair_keys(result)
 
 
 @given(polys)

@@ -29,7 +29,6 @@ from laddergraphs.graphs import (
 )
 from laddergraphs.ladder import Letter, NormalPolynomial
 from laddergraphs.oracles import run_oracle_checks
-from laddergraphs.scalars import LinearCombination
 from test_oracles import corrupt_product
 
 A = NormalPolynomial.monomial((0, 1))
@@ -83,7 +82,7 @@ def check_gaussian_products():
     assert gr(1, 2) * 3 == gr(3, 6)
 
 
-def check_products_are_keyed_by_monomials():
+def check_products_are_keyed_like_constructed_sums():
     assert A * AD == NormalPolynomial({(1, 1): 1, (0, 0): 1})
 
 
@@ -284,16 +283,17 @@ FAULTS = {
     "rewrite drops the swap successor": (
         _rewrite_without('w[:i] + "da" + w[i + 2:]'),
         check_rewrite_against_reference),
-    "identity NormalPolynomial._stored_key": (
-        lambda mp: mp.setattr(NormalPolynomial, "_stored_key", staticmethod(lambda key: key)),
-        check_products_are_keyed_by_monomials),
+    "_from_numerators stores NormalMonomial keys": (
+        lambda mp: _wrap(mp, NormalPolynomial, "_from_numerators", lambda true: classmethod(
+            lambda cls, den, terms: true(den, [(ladder.NormalMonomial(*key), re, im)
+                                               for key, re, im in terms]))),
+        check_products_are_keyed_like_constructed_sums),
     "_from_numerators ignores den": (
-        lambda mp: _wrap(mp, LinearCombination, "_from_numerators",
-                         lambda true: lambda self, den, terms: true(self, 1, terms)),
+        lambda mp: _wrap(mp, NormalPolynomial, "_from_numerators",
+                         lambda true: classmethod(lambda cls, den, terms: true(1, terms))),
         check_rational_products),
     "_power one step short": (
-        lambda mp: _wrap(mp, LinearCombination, "_power",
-                         lambda true: lambda self, n, *rest: true(self, max(n - 1, 0), *rest)),
+        _recompiled(NormalPolynomial, "__pow__", r"range\(n\)", "range(n - 1)"),
         check_powers_are_repeated_products),
     "LinearCombination keeps zero terms": (
         lambda mp: mp.setattr(scalars, "accumulate", _accumulate_keeping_zeros),
