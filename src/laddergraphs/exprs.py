@@ -29,8 +29,8 @@ import sys
 from fractions import Fraction
 from operator import add, mul
 
-from .ladder import Letter, NormalMonomial, NormalPolynomial
-from .scalars import GaussianRational, Record
+from .ladder import Letter, NormalPolynomial, _term_sort_key
+from .scalars import GaussianRational, Record, _coefficient_str
 
 
 class ParseError(Exception):
@@ -342,13 +342,15 @@ def parse(text: str) -> ExprNode:
 # ---------------------------------------------------------------------------
 
 _END = object()
+_FIRST = object()  # the value of a sum or product before its first child
 
 
 def _open(node: ExprNode) -> list:
     """The evaluation frame of one node: ``[children, value, fold]``.
 
     The node's value starts at ``value`` and takes in each child's value in
-    turn as ``value = fold(value, child_value)``; a leaf has no children.
+    turn as ``value = fold(value, child_value)``; a leaf has no children.  A
+    sum or product starts at its first child's value instead.
     """
     if isinstance(node, IdentityExpr):
         return [iter(()), NormalPolynomial.one(), None]
@@ -357,9 +359,9 @@ def _open(node: ExprNode) -> list:
     if isinstance(node, PowerExpr):
         return [iter((node.base,)), None, lambda _, base: base ** node.exponent]
     if isinstance(node, ProductExpr):
-        return [iter(node.factors), NormalPolynomial.one(), mul]
+        return [iter(node.factors), _FIRST, mul]
     if isinstance(node, SumExpr):
-        return [iter(node.terms), NormalPolynomial.zero(), add]
+        return [iter(node.terms), _FIRST, add]
     if isinstance(node, ScaledExpr):
         return [iter((node.body,)), None, lambda _, body: body.scale(node.coeff)]
     raise TypeError(f"not an expression node: {node!r}")
@@ -384,55 +386,45 @@ def evaluate(node: ExprNode) -> NormalPolynomial:
         if not stack:
             return frame[1]
         parent = stack[-1]
-        parent[1] = parent[2](parent[1], frame[1])
+        value = parent[1]
+        parent[1] = frame[1] if value is _FIRST else parent[2](value, frame[1])
 
 
 # ---------------------------------------------------------------------------
 # Canonical pretty-printer
 # ---------------------------------------------------------------------------
 
-def _monomial_str(m: NormalMonomial) -> str:
-    parts = []
-    if m.r == 1:
-        parts.append("ad")
-    elif m.r > 1:
-        parts.append(f"ad^{m.r}")
-    if m.s == 1:
-        parts.append("a")
-    elif m.s > 1:
-        parts.append(f"a^{m.s}")
-    return " ".join(parts)
-
-
-def _positive_leading(c: GaussianRational) -> bool:
-    return c._re > 0 or (not c._re and c._im > 0)
-
-
 def format_polynomial(p: NormalPolynomial) -> str:
     """Canonical rendering; re-parses and re-evaluates to ``p`` exactly.
 
     Terms appear in canonical order; a unit coefficient is omitted unless the
-    monomial is the identity; the zero polynomial prints as ``0``.
+    monomial is the identity; the zero polynomial prints as ``0``.  Each term
+    is rendered from its ``(r, s)`` key and its coefficient's stored parts;
+    the sign of a later term's leading part, read from its numerators, goes
+    into the separator.
     """
-    if p.is_zero():
+    terms = p._terms
+    if not terms:
         return "0"
     pieces = []
-    for index, (mono, coeff) in enumerate(p.terms()):
-        if index == 0:
-            sep = ""
-            c = coeff
-        elif _positive_leading(coeff):
-            sep = " + "
-            c = coeff
+    for r, s in sorted(terms, key=_term_sort_key):
+        c = terms[r, s]
+        re, im = c._re, c._im
+        lead = re.numerator or im.numerator
+        if not pieces:
+            sep, sign = "", 1
+        elif lead > 0:
+            sep, sign = " + ", 1
         else:
-            sep = " - "
-            c = -coeff
-        mono_str = _monomial_str(mono)
-        if not mono_str:
-            piece = str(c)
-        elif c.is_one():
-            piece = mono_str
+            sep, sign = " - ", -1
+        text = _coefficient_str(re, im, sign)
+        factors = []
+        if r:
+            factors.append("ad" if r == 1 else f"ad^{r}")
+        if s:
+            factors.append("a" if s == 1 else f"a^{s}")
+        if factors and text == "1":
+            pieces.append(sep + " ".join(factors))
         else:
-            piece = f"{c} {mono_str}"
-        pieces.append(sep + piece)
+            pieces.append(sep + " ".join([text, *factors]))
     return "".join(pieces)

@@ -16,7 +16,11 @@ built on the sparse linear-combination core of :mod:`laddergraphs.scalars`
 under its plain ``(r, s)`` pair; :class:`NormalMonomial` is the public view
 of a key.  Their product, defined here, runs on those pairs with the cached
 closed form above as its basis product, on ``int`` numerators over a common
-denominator divided out once per result term.  All arithmetic is exact.
+denominator divided out once per result term.  Each product or power picks
+its loop once, from its operands' stored parts: when every coefficient of
+every operand has imaginary part 0, a real loop sums one ``int`` per result
+pair; otherwise the Gaussian loop sums an ``[re, im]`` pair.  All arithmetic
+is exact.
 
 Free (unordered) words in the two generators are normalized by two
 independent strategies, a rewrite engine and a fold over basis products,
@@ -31,7 +35,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import cache, reduce
 from math import comb, factorial, lcm
-from operator import mul
+from operator import attrgetter, mul
 
 from .scalars import ONE, GaussianRational, LinearCombination, Record, ScalarLike, _integral, accumulate
 
@@ -129,25 +133,31 @@ class NormalPolynomial(LinearCombination):
     # -- algebra operations ---------------------------------------------------
 
     def __mul__(self, other: "NormalPolynomial") -> "NormalPolynomial":
-        """Bilinear extension of the basis product; noncommutative."""
+        """Bilinear extension of the basis product; noncommutative.
+
+        The real loop runs when both operands' coefficients are all real.
+        """
         if not isinstance(other, NormalPolynomial):
             return NotImplemented
         den1, left = _integer_numerators(self._terms)
         den2, right = _integer_numerators(other._terms)
-        return self._from_numerators(den1 * den2, _pair_numerators(left, right))
+        loop = _real_numerators if _real(self._terms) and _real(other._terms) else _pair_numerators
+        return self._from_numerators(den1 * den2, loop(left, right))
 
     def __pow__(self, n: int) -> "NormalPolynomial":
         """``n`` factors ``self``, multiplied left to right, over one denominator.
 
         After ``k`` steps the running power is ``int`` numerators over ``D**k``,
         ``D`` the base's common denominator; each result term is divided once.
+        Every step runs the real loop when the base's coefficients are all real.
         """
         if not isinstance(n, int) or isinstance(n, bool) or n < 0:
             raise ValueError("exponent must be a nonnegative integer")
         den, base = _integer_numerators(self._terms)
+        loop = _real_numerators if _real(self._terms) else _pair_numerators
         power = [((0, 0), 1, 0)]
         for _ in range(n):
-            power = _pair_numerators(power, base)
+            power = loop(power, base)
         return self._from_numerators(den ** n, power)
 
     # -- hashing and display ---------------------------------------------------
@@ -165,10 +175,9 @@ class NormalPolynomial(LinearCombination):
 
     def to_json(self) -> list[dict]:
         """Canonically ordered list of term records with string-valued fractions."""
-        return [
-            {"r": m.r, "s": m.s, "coeff": c.to_json()}
-            for m, c in self.terms()
-        ]
+        terms = self._terms
+        return [{"r": r, "s": s, "coeff": terms[r, s].to_json()}
+                for r, s in sorted(terms, key=_term_sort_key)]
 
     @classmethod
     def from_json(cls, obj: list[dict]) -> "NormalPolynomial":
@@ -203,12 +212,21 @@ def _integer_numerators(terms: dict) -> tuple[int, list[tuple]]:
                   c._im.numerator * (den // c._im.denominator)) for key, c in terms.items()]
 
 
+_imaginary_part = attrgetter("_im")
+
+
+def _real(terms: dict) -> bool:
+    """Whether every coefficient of ``terms`` has imaginary part 0."""
+    return not any(map(_imaginary_part, terms.values()))
+
+
 def _pair_numerators(left: list[tuple], right: list[tuple]) -> list[tuple]:
     """Product of ``((r, s), re, im)`` numerator lists, over their denominators' product.
 
     Each pair of terms multiplies its coefficients once and adds them, times
     the weights of :func:`_basis_product`, to one ``[re, im]`` sum per result
-    pair; pairs whose sum is zero are dropped.  The product loop of polynomials.
+    pair; pairs whose sum is zero are dropped.  The product loop of polynomials
+    with a coefficient that is not real.
     """
     sums: dict = {}
     for k1, a, b in left:
@@ -222,6 +240,21 @@ def _pair_numerators(left: list[tuple], right: list[tuple]) -> list[tuple]:
                     total[0] += re * weight
                     total[1] += im * weight
     return [(key, re, im) for key, (re, im) in sums.items() if re or im]
+
+
+def _real_numerators(left: list[tuple], right: list[tuple]) -> list[tuple]:
+    """:func:`_pair_numerators` for operands whose imaginary numerators are all 0.
+
+    It reads only each term's key and real numerator and sums one ``int`` per
+    result pair; the result's imaginary numerators are 0.
+    """
+    sums: dict = {}
+    for k1, a, _ in left:
+        for k2, c, _ in right:
+            ac = a * c
+            for key, weight in _basis_product(k1, k2):
+                sums[key] = sums.get(key, 0) + ac * weight
+    return [(key, re, 0) for key, re in sums.items() if re]
 
 
 def multiply_monomials(m1: MonomialLike, m2: MonomialLike) -> NormalPolynomial:
@@ -303,9 +336,9 @@ def normal_order_rewrite(word: Word) -> NormalPolynomial:
             accumulate(levels.setdefault(level - 1, {}), w[:i] + "da" + w[i + 2:], c)
             drop = 1 + w.count("a", 0, i) + w.count("d", i + 2)
             accumulate(levels.setdefault(level - drop, {}), w[:i] + w[i + 2:], c)
-    return NormalPolynomial(
-        (NormalMonomial(w.count("d"), w.count("a")), c) for w, c in levels[0].items()
-    )
+    # Each word left has no inversion, so it is d^r a^s, one word per (r, s).
+    return NormalPolynomial._from_numerators(
+        1, [((w.count("d"), w.count("a")), c, 0) for w, c in levels[0].items()])
 
 
 def normal_order_fold(word: Word) -> NormalPolynomial:

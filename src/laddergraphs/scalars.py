@@ -216,17 +216,7 @@ class GaussianRational(Record):
 
         Examples: ``0``, ``3``, ``-1/2``, ``2i``, ``3+1/2i``, ``-2-3i``.
         """
-        re, im = self._re, self._im
-        if not re and not im:
-            return "0"
-        if not im:
-            return str(re)
-        im_mag = abs(im)
-        if not re:
-            sign = "-" if im < 0 else ""
-            return f"{sign}{im_mag}i"
-        sign = "-" if im < 0 else "+"
-        return f"{re}{sign}{im_mag}i"
+        return _coefficient_str(self._re, self._im)
 
     def __repr__(self) -> str:
         return f"GaussianRational({self.re!r}, {self.im!r})"
@@ -253,6 +243,26 @@ class GaussianRational(Record):
             return cls._raw(part(obj["re"]), part(obj["im"]))
         except (KeyError, TypeError, ZeroDivisionError) as exc:
             raise ValueError(f"malformed scalar record: {exc}") from exc
+
+
+def _rational_str(num: int, den: int) -> str:
+    return f"{num}/{den}" if den != 1 else str(num)
+
+
+def _coefficient_str(re: RationalLike, im: RationalLike, sign: int = 1) -> str:
+    """``sign * (re + im*i)`` in the coefficient syntax of :meth:`GaussianRational.__str__`.
+
+    ``re`` and ``im`` are stored parts (``int``, or ``Fraction`` in lowest
+    terms) and ``sign`` is 1 or -1.  The text is built from the parts'
+    numerators and denominators, so no scalar or ``Fraction`` is built.
+    """
+    a, b = sign * re.numerator, sign * im.numerator
+    if not b:
+        return _rational_str(a, re.denominator)
+    imag = _rational_str(abs(b), im.denominator) + "i"
+    if not a:
+        return "-" + imag if b < 0 else imag
+    return _rational_str(a, re.denominator) + ("-" if b < 0 else "+") + imag
 
 
 _new = object.__new__

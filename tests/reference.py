@@ -3,10 +3,12 @@
 Nothing in this module imports the package under test, and nothing reuses its
 closed-form formulas: normal ordering is done by brute-force string rewriting,
 matchings by direct recursive enumeration, counts by recurrences, acyclicity
-by Kahn's algorithm.  Slow and obviously correct beats fast and shared.
+by Kahn's algorithm, canonical text by GRAMMAR.md's printing rules.  Slow and
+obviously correct beats fast and shared.
 """
 
 from collections import deque
+from fractions import Fraction
 from functools import lru_cache
 from math import comb, perm
 
@@ -144,3 +146,45 @@ def vertex_level_edges(graph) -> tuple[int, list]:
         for p in vertex.out_ports:
             out_owner[p] = index
     return len(graph.vertices), [(out_owner[o], in_owner[i]) for o, i in graph.edges]
+
+
+def _rational_text(q: Fraction) -> str:
+    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+
+
+def _coefficient_text(re: Fraction, im: Fraction) -> str:
+    """A coefficient as GRAMMAR.md's ``coeff``: ``3``, ``-1/2``, ``2i``, ``3-1/2i``."""
+    if im == 0:
+        return _rational_text(re)
+    imaginary = _rational_text(abs(im)) + "i"
+    if re == 0:
+        return imaginary if im > 0 else "-" + imaginary
+    return _rational_text(re) + ("+" if im > 0 else "-") + imaginary
+
+
+def format_terms(terms: dict) -> str:
+    """GRAMMAR.md's canonical printing of ``{(r, s): (re, im)}``.
+
+    Zero coefficients are left out.  Terms go by total degree, then raising
+    exponent, both descending; ``ad^r a^s`` elides ``^1`` and drops zero
+    exponents; a coefficient of exactly 1 goes unprinted before a letter; a
+    later term's separator is `` - `` when the real part is negative, or the
+    real part is 0 and the imaginary part negative, and the coefficient is
+    then printed negated.
+    """
+    terms = {key: (Fraction(re), Fraction(im)) for key, (re, im) in terms.items() if re or im}
+    pieces = []
+    for r, s in sorted(terms, key=lambda key: (key[0] + key[1], key[0]), reverse=True):
+        re, im = terms[r, s]
+        if pieces:
+            negative = re < 0 or (re == 0 and im < 0)
+            pieces.append(" - " if negative else " + ")
+            if negative:
+                re, im = -re, -im
+        factors = [letter if n == 1 else f"{letter}^{n}"
+                   for letter, n in (("ad", r), ("a", s)) if n]
+        coefficient = _coefficient_text(re, im)
+        if not factors or coefficient != "1":
+            factors.insert(0, coefficient)
+        pieces.append(" ".join(factors))
+    return "".join(pieces) or "0"

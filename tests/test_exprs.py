@@ -3,9 +3,10 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import reference
 from laddergraphs.exprs import (
     MAX_NESTING,
     IdentityExpr,
@@ -228,6 +229,18 @@ def test_warm_evaluate_calls_no_monomial_method_and_no_lambda():
     assert [name for name in calls if name.startswith("NormalMonomial.")] == []
 
 
+def test_warm_evaluate_takes_the_real_loop_exactly_for_real_coefficients():
+    # Every coefficient of (2 a - 3 ad)^40 is real, so no product step runs
+    # the Gaussian loop; (1/2 a + 3i ad)^32 has an imaginary one, so none
+    # runs the real loop.
+    real, gaussian = parse("(2 a - 3 ad)^40"), parse("(1/2 a + 3i ad)^32")
+    evaluate(real), evaluate(gaussian)  # fill the basis-product cache
+    _, calls = opcodes(evaluate, real)
+    assert calls["_pair_numerators"] == 0 and calls["_real_numerators"] == 40
+    _, calls = opcodes(evaluate, gaussian)
+    assert calls["_real_numerators"] == 0 and calls["_pair_numerators"] == 32
+
+
 # -- canonical formatting ----------------------------------------------------------------
 
 def test_format_golden():
@@ -264,6 +277,53 @@ polys = st.builds(
 @settings(deadline=None)
 def test_format_parse_round_trip(p):
     assert evaluate(parse(format_polynomial(p))) == p
+
+
+# Polynomials as {(r, s): (re, im)} for the reference renderer, drawn with int,
+# Fraction and Gaussian coefficients; small parts make signs, units, zero real
+# parts and the identity term frequent.
+small_parts = st.sampled_from([0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3)])
+parts = st.one_of(small_parts, st.integers(-30, 30),
+                  st.fractions(min_value=-30, max_value=30, max_denominator=9))
+term_tables = st.one_of(
+    st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)), family, max_size=6)
+    for family in (st.integers(-4, 4).map(lambda n: (n, 0)),
+                   parts.map(lambda q: (Fraction(q), 0)),
+                   st.tuples(parts, parts))
+)
+
+
+def from_table(table: dict) -> NormalPolynomial:
+    """The polynomial of ``table``: an ``int``, ``Fraction`` or ``GaussianRational`` per term."""
+    return NormalPolynomial({key: GaussianRational(re, im) if im else re
+                             for key, (re, im) in table.items()})
+
+
+def json_records(table: dict) -> list[dict]:
+    """``to_json`` of ``table``'s polynomial, built from the table alone."""
+    def part(q) -> dict:
+        q = Fraction(q)
+        return {"num": str(q.numerator), "den": str(q.denominator)}
+
+    nonzero = [(key, c) for key, c in table.items() if any(c)]
+    nonzero.sort(key=lambda item: (item[0][0] + item[0][1], item[0][0]), reverse=True)
+    return [{"r": r, "s": s, "coeff": {"re": part(re), "im": part(im)}}
+            for (r, s), (re, im) in nonzero]
+
+
+@given(term_tables)
+@settings(deadline=None)
+@example({})
+@example({(1, 1): (-1, 0), (0, 0): (1, 0)})  # negative unit leading term, identity 1
+@example({(1, 0): (1, 0), (0, 1): (-1, 0), (0, 0): (-1, 0)})  # ad - a - 1
+@example({(0, 0): (0, -1)})  # an imaginary-only negative identity term
+@example({(2, 0): (0, -2), (1, 0): (0, 3), (0, 1): (0, Fraction(-1, 2)), (0, 0): (-1, 1)})
+@example({(3, 0): (Fraction(-1, 2), Fraction(1, 3)), (0, 2): (Fraction(-2, 3), -1),
+          (1, 1): (2, -3)})
+def test_rendering_matches_the_reference_renderer(table):
+    p = from_table(table)
+    assert format_polynomial(p) == reference.format_terms(table)
+    assert p.to_json() == json_records(table)
 
 
 def test_fuzz_parser_never_crashes():

@@ -297,6 +297,46 @@ def test_power_matches_left_fold(p, n):
     assert_stored_form(power)
 
 
+# -- the real loop against the Gaussian loop -----------------------------------------
+# A product whose operands have only real coefficients takes the real loop; it
+# must store exactly what the Gaussian loop, called directly, stores.
+
+def coefficient_polys(coefficients) -> st.SearchStrategy:
+    return st.builds(NormalPolynomial, st.lists(st.tuples(pairs, coefficients), max_size=4))
+
+
+real_or_gaussian_polys = st.one_of(
+    coefficient_polys(st.integers(-9, 9)),
+    coefficient_polys(st.fractions(min_value=-9, max_value=9, max_denominator=6)),
+    polys,
+)
+
+
+def pair_loop_product(factors: list[NormalPolynomial]) -> NormalPolynomial:
+    """The product of ``factors``, left to right, by ``_pair_numerators`` over one denominator."""
+    den, product = 1, [((0, 0), 1, 0)]
+    for factor in factors:
+        d, numerators = ladder._integer_numerators(factor._terms)
+        den, product = den * d, ladder._pair_numerators(product, numerators)
+    return NormalPolynomial._from_numerators(den, product)
+
+
+def stored(p: NormalPolynomial) -> dict:
+    """The term map with the type of every key and part, so ``==`` compares stored forms."""
+    return {(type(key), key): (type(c._re), c._re, type(c._im), c._im) for key, c in p._terms.items()}
+
+
+@given(real_or_gaussian_polys, real_or_gaussian_polys, st.integers(0, 5))
+@settings(deadline=None)
+# Real operands whose product cancels, and real times Gaussian operands both ways.
+@example(NormalPolynomial({(0, 1): 1, (1, 0): 1}), NormalPolynomial({(0, 1): 1, (1, 0): -1}), 3)
+@example(NormalPolynomial({(0, 1): 2, (1, 0): -1}), NormalPolynomial({(1, 0): GaussianRational(0, 3)}), 2)
+@example(NormalPolynomial({(1, 0): GaussianRational(0, 3)}), NormalPolynomial({(0, 1): F(1, 2)}), 2)
+def test_products_and_powers_store_what_the_gaussian_loop_stores(p, q, n):
+    assert stored(p * q) == stored(pair_loop_product([p, q]))
+    assert stored(p ** n) == stored(pair_loop_product([p] * n))
+
+
 def test_terms_are_in_canonical_order():
     p = as_poly({(0, 0): 1, (2, 1): 1, (1, 2): 1, (3, 0): 1, (1, 1): 1})
     order = [(m.r, m.s) for m, _ in p.terms()]

@@ -97,6 +97,32 @@ def check_powers_are_repeated_products():
     assert p ** 1 == p
 
 
+def check_real_times_gaussian_products():
+    # (2 a - ad)(3i ad + 1) = 6i ad a + 6i + 2 a - 3i ad^2 - ad, either loop order.
+    gr = scalars.GaussianRational
+    x = NormalPolynomial({(0, 1): 2, (1, 0): -1})
+    y = NormalPolynomial({(1, 0): gr(0, 3), (0, 0): 1})
+    assert x * y == NormalPolynomial({(1, 1): gr(0, 6), (0, 0): gr(0, 6), (0, 1): 2,
+                                      (2, 0): gr(0, -3), (1, 0): -1})
+    assert y * x == NormalPolynomial({(1, 1): gr(0, 6), (0, 1): 2, (2, 0): gr(0, -3),
+                                      (1, 0): -1})
+
+
+def check_real_products_carry_the_weights():
+    # a^2 ad^2 = ad^2 a^2 + 4 ad a + 2, and (a + ad)^2 = a^2 + 2 ad a + ad^2 + 1.
+    assert NormalPolynomial({(0, 2): 1}) * NormalPolynomial({(2, 0): 1}) == NormalPolynomial(
+        {(2, 2): 1, (1, 1): 4, (0, 0): 2})
+    assert (A + AD) ** 2 == NormalPolynomial({(0, 2): 1, (1, 1): 2, (2, 0): 1, (0, 0): 1})
+
+
+def check_rendering_against_reference():
+    gr = scalars.GaussianRational
+    for table in ({(1, 0): (1, 0), (0, 1): (0, -2), (0, 0): (0, 3)},
+                  {(1, 1): (-1, 0), (0, 1): (Fraction(-1, 2), 1), (0, 0): (0, Fraction(-2, 3))}):
+        p = NormalPolynomial({key: gr(re, im) for key, (re, im) in table.items()})
+        assert exprs.format_polynomial(p) == reference.format_terms(table)
+
+
 def check_cancellation_leaves_no_terms():
     x = NormalPolynomial({(0, 1): 1, (1, 0): 2})
     assert len(x - x) == 0
@@ -295,6 +321,15 @@ FAULTS = {
     "_power one step short": (
         _recompiled(NormalPolynomial, "__pow__", r"range\(n\)", "range(n - 1)"),
         check_powers_are_repeated_products),
+    "the loop choice reads only the left operand's imaginary parts": (
+        _recompiled(NormalPolynomial, "__mul__", r" and _real\(other\._terms\)", ""),
+        check_real_times_gaussian_products),
+    "the real loop drops the basis-product weight": (
+        _recompiled(ladder, "_real_numerators", r"ac \* weight", "ac"),
+        check_real_products_carry_the_weights),
+    "the renderer takes a term's sign from its real part alone": (
+        _recompiled(exprs, "format_polynomial", r"re\.numerator or im\.numerator", "re.numerator"),
+        check_rendering_against_reference),
     "LinearCombination keeps zero terms": (
         lambda mp: mp.setattr(scalars, "accumulate", _accumulate_keeping_zeros),
         check_cancellation_leaves_no_terms),
