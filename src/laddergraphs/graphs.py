@@ -88,17 +88,14 @@ class DiagGraph(Record):
     Calling the class validates its arguments, the path for external input:
     it raises ``ValueError`` when the labels, edges or dangling lists do not
     form a valid acyclic graph.  The package's own constructions, valid by
-    construction, use :meth:`_trusted` instead.  The hash is cached on first
-    use in ``_hash``, a slot that is not a field.
+    construction, use :meth:`_trusted` instead.
     """
 
-    __slots__ = ("vertices", "edges", "dangling_in", "dangling_out", "_hash")
-    __match_args__ = ("vertices", "edges", "dangling_in", "dangling_out")
+    __slots__ = __match_args__ = ("vertices", "edges", "dangling_in", "dangling_out")
 
     def __init__(self, vertices: tuple[Vertex, ...] = (), edges: tuple[tuple[int, int], ...] = (),
                  dangling_in: tuple[int, ...] = (), dangling_out: tuple[int, ...] = ()):
         self._fill(vertices, edges, dangling_in, dangling_out)
-        _set_hash(self, None)
         self.__post_init__()
 
     def __post_init__(self) -> None:
@@ -113,15 +110,10 @@ class DiagGraph(Record):
         _set_edges(graph, edges)
         _set_dangling_in(graph, dangling_in)
         _set_dangling_out(graph, dangling_out)
-        _set_hash(graph, None)
         return graph
 
     def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = hash((self.vertices, self.edges, self.dangling_in, self.dangling_out))
-            _set_hash(self, h)
-        return h
+        return hash((self.vertices, self.edges, self.dangling_in, self.dangling_out))
 
     def __reduce__(self):
         return self.__class__, (tuple(self.vertices), self.edges, self.dangling_in, self.dangling_out)
@@ -200,7 +192,7 @@ class DiagGraph(Record):
 
 
 _new = object.__new__
-_set_vertices, _set_edges, _set_dangling_in, _set_dangling_out, _set_hash = (
+_set_vertices, _set_edges, _set_dangling_in, _set_dangling_out = (
     getattr(DiagGraph, name).__set__ for name in DiagGraph.__slots__)
 _set_in_ports, _set_out_ports = (getattr(Vertex, name).__set__ for name in Vertex.__slots__)
 
@@ -237,7 +229,8 @@ def make_vertex(r: int, s: int) -> DiagGraph:
     """A single vertex with ``r`` white out-lines and ``s`` gray in-lines.
 
     ``make_vertex(0, 0)`` is an isolated vertex, not the void graph.  Counts
-    that are negative, or too large for a tuple to hold, raise ``ValueError``.
+    that are negative, or too large for a tuple to hold, raise ``ValueError``;
+    any other float raises ``TypeError``, as in ``range``.
     """
     if r < 0 or s < 0:
         raise ValueError("line counts must be nonnegative")
@@ -274,7 +267,10 @@ def enumerate_matchings(grays: Iterable[int], whites: Iterable[int]) -> Iterator
 
 
 def count_matchings(n_gray: int, n_white: int) -> int:
-    """Closed-form matching count: sum of i! * C(n_gray, i) * C(n_white, i)."""
+    """Closed-form matching count: sum of i! * C(n_gray, i) * C(n_white, i).
+
+    Counts are nonnegative ``int``s; a float raises ``TypeError``, as in ``math.comb``.
+    """
     return sum(
         factorial(i) * comb(n_gray, i) * comb(n_white, i)
         for i in range(min(n_gray, n_white) + 1)
@@ -461,7 +457,8 @@ def build_iteratively(steps: Iterable[tuple[int, int, int]]) -> DiagGraph:
 
     Each step is ``(r, s, matching_index)`` where the index selects a partial
     matching between the accumulated graph's gray spots and the new vertex's
-    white spots, in :func:`enumerate_matchings` order (0 = no joins).
+    white spots, in :func:`enumerate_matchings` order (0 = no joins).  A line
+    count is checked by :func:`make_vertex`: a nonnegative float raises ``TypeError``.
     """
     acc = void_graph()
     for step_no, (r, s, matching_index) in enumerate(steps):

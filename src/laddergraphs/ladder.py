@@ -52,11 +52,7 @@ class NormalMonomial(Record):
             raise TypeError(f"monomial exponents must be integers, got {(r, s)!r}")
         if r < 0 or s < 0:
             raise ValueError(f"monomial exponents must be nonnegative, got {(r, s)}")
-        _set_r(self, r)
-        _set_s(self, s)
-
-    def __hash__(self) -> int:
-        return hash((self.r, self.s))
+        self._fill(r, s)
 
     @property
     def degree(self) -> int:
@@ -66,7 +62,6 @@ class NormalMonomial(Record):
         return self.r == 0 and self.s == 0
 
 
-_set_r, _set_s = NormalMonomial.r.__set__, NormalMonomial.s.__set__
 _monomial = cache(NormalMonomial)  # interned: one shared monomial per (r, s)
 
 IDENTITY = _monomial(0, 0)
@@ -264,18 +259,19 @@ def multiply_monomials(m1: MonomialLike, m2: MonomialLike) -> NormalPolynomial:
     ``min(k, s) + 1`` terms with positive integer coefficients
     ``i! * C(s, i) * C(k, i)``; the ``i = 0`` term always has coefficient 1.
     """
-    return NormalPolynomial(_basis_product(_as_pair(m1), _as_pair(m2)))
+    terms = _basis_product(_as_pair(m1), _as_pair(m2))  # valid by construction: stored as given
+    return NormalPolynomial._from_numerators(1, [(key, weight, 0) for key, weight in terms])
 
 
 def commutator_powers(s: int, k: int) -> NormalPolynomial:
     """Normal form of (lowering^s)(raising^k) - (raising^k)(lowering^s).
 
     Closed form: sum over i in 1..min(k, s) of i!*C(s,i)*C(k,i) * (k-i, s-i).
-    Empty when either exponent is zero.
+    Empty when either exponent is zero.  Exponents are checked like a monomial's,
+    before the cache: a float or ``bool`` raises ``TypeError``, a negative ``ValueError``.
     """
-    if s < 0 or k < 0:
-        raise ValueError("exponents must be nonnegative")
-    return NormalPolynomial(_basis_product((0, s), (k, 0))[1:])
+    terms = _basis_product(_as_pair((0, s)), _as_pair((k, 0)))[1:]
+    return NormalPolynomial._from_numerators(1, [(key, weight, 0) for key, weight in terms])
 
 
 # ---------------------------------------------------------------------------

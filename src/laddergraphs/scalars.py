@@ -61,9 +61,12 @@ class Record:
 
     Equal only to records of its own class with equal fields; hashed,
     pickled and copied as its field tuple; printed as ``Name(field=value)``.
-    Hot classes override only ``__hash__``, with one that names their fields;
-    :class:`GaussianRational` overrides ``__eq__`` and ``__hash__`` to equal
-    numbers.
+    Subclasses fill their fields with :meth:`_fill`; only what hot loops build
+    or hash specialises.  ``GaussianRational`` (one per product term),
+    ``DiagGraph`` (one per composition) and the shifted ``Vertex`` are built
+    through slot setters.  ``Vertex`` and ``DiagGraph`` hash their field tuple
+    directly, as graph-sum products hash every vertex and composition.
+    :class:`GaussianRational` overrides ``__eq__`` and ``__hash__`` to equal numbers.
     """
 
     __slots__ = ()
@@ -278,8 +281,10 @@ def accumulate(acc: dict, key: Hashable, coeff) -> None:
 
     The accumulate-and-prune step of the sum structures; it works for any
     coefficient type whose truth value is "nonzero" (ints included).  The
-    polynomial product ``ladder._pair_numerators`` and ``graphs.project_sum``
-    keep their own ``[re, im]`` numerator sums and prune once at the end.
+    polynomial product loops ``ladder._pair_numerators`` (an ``[re, im]``
+    pair per key) and ``ladder._real_numerators`` (one ``int`` per key), and
+    ``graphs.project_sum``, keep their own numerator sums and prune once at
+    the end.
     """
     total = acc.get(key)
     total = coeff if total is None else total + coeff

@@ -8,7 +8,14 @@ from hypothesis import strategies as st
 
 import reference
 from laddergraphs import ladder
-from laddergraphs.graphs import GraphSum, make_vertex, normal_order_via_graphs, project_sum
+from laddergraphs.graphs import (
+    GraphSum,
+    build_iteratively,
+    count_matchings,
+    make_vertex,
+    normal_order_via_graphs,
+    project_sum,
+)
 from laddergraphs.ladder import (
     IDENTITY,
     LOWER,
@@ -234,14 +241,15 @@ pairs = st.tuples(st.integers(0, 4), st.integers(0, 4))
 
 
 @given(polys, polys, st.integers(0, 5), words, st.one_of(monomials, pairs), monomials,
-       st.lists(st.tuples(st.one_of(monomials, pairs), coeffs), max_size=4))
+       st.lists(st.tuples(st.one_of(monomials, pairs), coeffs), max_size=4), pairs)
 @settings(deadline=None)
-def test_results_are_keyed_by_int_pairs(p, q, n, word, m1, m2, items):
+def test_results_are_keyed_by_int_pairs(p, q, n, word, m1, m2, items, sizes):
     # Terms are stored under plain (r, s) pairs on every construction path.
     vertices = GraphSum([(make_vertex(m.r, m.s), c) for m, c in p.terms()])
     for result in (p * q, p ** n, normal_order_fold(word), multiply_monomials(m1, m2),
                    project_sum(vertices), normal_order_via_graphs(word), NormalPolynomial(items),
-                   NormalPolynomial.from_json(p.to_json())):
+                   NormalPolynomial.from_json(p.to_json()), commutator_powers(*sizes),
+                   normal_order_rewrite(word)):
         assert_pair_keys(result)
 
 
@@ -409,6 +417,33 @@ def test_commutator_frozen_example():
     assert commutator_powers(2, 2) == as_poly({(1, 1): 4, (0, 0): 2})
     assert commutator_powers(0, 3).is_zero()
     assert commutator_powers(3, 0).is_zero()
+
+
+def test_commutator_checks_sizes_before_the_cache():
+    # A float key equals its int key in the basis-product cache, so a float
+    # size must be refused before the cache is asked, warm or not.
+    assert commutator_powers(2, 1) == as_poly({(0, 1): 2})
+    for s, k in ((2.0, 1), (2, 1.0), (True, 1), (2, False)):
+        with pytest.raises(TypeError):
+            commutator_powers(s, k)
+    for s, k in ((-1, 2), (2, -1)):
+        with pytest.raises(ValueError, match="exponents must be nonnegative"):
+            commutator_powers(s, k)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: make_vertex(2.0, 1),
+    lambda: make_vertex(1, 2.0),
+    lambda: build_iteratively([(1, 1, 0), (2.0, 1, 0)]),
+    lambda: count_matchings(2.0, 1),
+    lambda: count_matchings(1, 2.0),
+    lambda: commutator_powers(2.0, 1),
+    lambda: commutator_powers(1, 2.0),
+], ids=["make_vertex-r", "make_vertex-s", "build_iteratively", "count_matchings-gray",
+        "count_matchings-white", "commutator_powers-s", "commutator_powers-k"])
+def test_a_float_size_raises_type_error(call):
+    with pytest.raises(TypeError):
+        call()
 
 
 # -- words and normal ordering --------------------------------------------------
