@@ -11,7 +11,8 @@ Subcommands:
 
 ``--json`` switches the printable result to a JSON document; ``--dot DIR``
 writes DOT files into DIR.  Output is deterministic: same arguments and seed,
-same bytes.  Exit status 0 on success, 1 on any error or failed check.
+same bytes.  Exit status 0 on success, 1 on any error or failed check, 130
+on Ctrl-C; every failure ends in one line on stderr, never a traceback.
 """
 
 from __future__ import annotations
@@ -231,6 +232,13 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:  # e.g. a --dot directory that cannot be made
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except (MemoryError, RecursionError) as exc:  # work the interpreter could not hold
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: {type(exc).__name__}{detail}", file=sys.stderr)
+        return 1
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 130  # 128 + SIGINT, as a shell reports a process ended by Ctrl-C
 
 
 if __name__ == "__main__":

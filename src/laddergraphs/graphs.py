@@ -200,7 +200,11 @@ _set_in_ports, _set_out_ports = (getattr(Vertex, name).__set__ for name in Verte
 class _Vertices(tuple):
     """The vertex tuple one operand pair's compositions share; it keeps its hash and is not pickled."""
 
-    _hash = cached_property(tuple.__hash__)
+    @cached_property
+    def _hash(self) -> int:
+        # A function, not ``tuple.__hash__`` itself: from Python 3.13,
+        # cached_property reads ``__module__``, which a slot wrapper lacks.
+        return tuple.__hash__(self)
 
     def __hash__(self) -> int:
         return self._hash
@@ -269,8 +273,11 @@ def enumerate_matchings(grays: Iterable[int], whites: Iterable[int]) -> Iterator
 def count_matchings(n_gray: int, n_white: int) -> int:
     """Closed-form matching count: sum of i! * C(n_gray, i) * C(n_white, i).
 
-    Counts are nonnegative ``int``s; a float raises ``TypeError``, as in ``math.comb``.
+    Counts are nonnegative ``int``s: a negative count raises ``ValueError``, as in
+    :func:`make_vertex`, and any other float ``TypeError``, as in ``math.comb``.
     """
+    if n_gray < 0 or n_white < 0:
+        raise ValueError(f"spot counts must be nonnegative, got {(n_gray, n_white)}")
     return sum(
         factorial(i) * comb(n_gray, i) * comb(n_white, i)
         for i in range(min(n_gray, n_white) + 1)

@@ -14,8 +14,9 @@ supported sums of basis elements with :class:`GaussianRational` coefficients,
 built on the sparse linear-combination core of :mod:`laddergraphs.scalars`
 (:class:`LinearCombination` and :func:`accumulate`).  They store each term
 under its plain ``(r, s)`` pair; :class:`NormalMonomial` is the public view
-of a key.  Their product, defined here, runs on those pairs with the cached
-closed form above as its basis product, on ``int`` numerators over a common
+of a key.  Their product, defined here, runs on those pairs with the closed
+form above as its basis product, cached once per pair and read from one table
+per right factor, on ``int`` numerators over a common
 denominator divided out once per result term.  Each product or power picks
 its loop once, from its operands' stored parts: when every coefficient of
 every operand has imaginary part 0, a real loop sums one ``int`` per result
@@ -191,12 +192,39 @@ class NormalPolynomial(LinearCombination):
 
 @cache
 def _basis_product(m1: tuple[int, int], m2: tuple[int, int]) -> tuple[tuple[tuple, int], ...]:
-    """The closed form of ``m1 * m2`` on ``(r, s)`` pairs, as ``((r', s'), weight)`` terms."""
+    """The closed form of ``m1 * m2`` on ``(r, s)`` pairs, as ``((r', s'), weight)`` terms.
+
+    The only home of the formula, cached per pair of arguments.  The product
+    loops read it through the per-right-factor tables of :func:`_products`,
+    which call this once per pair they have not seen.
+    """
     (r, s), (k, l) = m1, m2
     return tuple(
         ((r + k - i, s + l - i), factorial(i) * comb(s, i) * comb(k, i))
         for i in range(min(k, s) + 1)
     )
+
+
+class _ProductTable(dict):
+    """``table[m1]`` is ``_basis_product(m1, table.right)``, filled on first read.
+
+    A hit is a plain dict lookup, with no Python-level call per term pair.
+    """
+
+    __slots__ = ("right",)
+
+    def __init__(self, right: tuple[int, int]):
+        self.right = right
+
+    def __missing__(self, m1: tuple[int, int]) -> tuple[tuple[tuple, int], ...]:
+        self[m1] = terms = _basis_product(m1, self.right)
+        return terms
+
+
+@cache
+def _products(right: tuple[int, int]) -> _ProductTable:
+    """The one product table of the right factor ``right``."""
+    return _ProductTable(right)
 
 
 def _integer_numerators(terms: dict) -> tuple[int, list[tuple]]:
@@ -219,15 +247,17 @@ def _pair_numerators(left: list[tuple], right: list[tuple]) -> list[tuple]:
     """Product of ``((r, s), re, im)`` numerator lists, over their denominators' product.
 
     Each pair of terms multiplies its coefficients once and adds them, times
-    the weights of :func:`_basis_product`, to one ``[re, im]`` sum per result
-    pair; pairs whose sum is zero are dropped.  The product loop of polynomials
-    with a coefficient that is not real.
+    the weights of the closed form, to one ``[re, im]`` sum per result pair;
+    pairs whose sum is zero are dropped.  The closed form is read from the
+    table of each right term (:func:`_products`), fetched once per right term.
+    The product loop of polynomials with a coefficient that is not real.
     """
     sums: dict = {}
-    for k1, a, b in left:
-        for k2, c, d in right:
+    for k2, c, d in right:
+        table = _products(k2)
+        for k1, a, b in left:
             re, im = a * c - b * d, a * d + b * c
-            for key, weight in _basis_product(k1, k2):
+            for key, weight in table[k1]:
                 total = sums.get(key)
                 if total is None:
                     sums[key] = [re * weight, im * weight]
@@ -241,13 +271,15 @@ def _real_numerators(left: list[tuple], right: list[tuple]) -> list[tuple]:
     """:func:`_pair_numerators` for operands whose imaginary numerators are all 0.
 
     It reads only each term's key and real numerator and sums one ``int`` per
-    result pair; the result's imaginary numerators are 0.
+    result pair; the result's imaginary numerators are 0.  Like that loop, it
+    reads the closed form from one table per right term.
     """
     sums: dict = {}
-    for k1, a, _ in left:
-        for k2, c, _ in right:
+    for k2, c, _ in right:
+        table = _products(k2)
+        for k1, a, _ in left:
             ac = a * c
-            for key, weight in _basis_product(k1, k2):
+            for key, weight in table[k1]:
                 sums[key] = sums.get(key, 0) + ac * weight
     return [(key, re, 0) for key, re in sums.items() if re]
 

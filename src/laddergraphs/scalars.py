@@ -284,7 +284,8 @@ def accumulate(acc: dict, key: Hashable, coeff) -> None:
     polynomial product loops ``ladder._pair_numerators`` (an ``[re, im]``
     pair per key) and ``ladder._real_numerators`` (one ``int`` per key), and
     ``graphs.project_sum``, keep their own numerator sums and prune once at
-    the end.
+    the end; the two product loops read the cached closed form from
+    ``ladder._products``, one table per right factor.
     """
     total = acc.get(key)
     total = coeff if total is None else total + coeff

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from laddergraphs import cli
 from laddergraphs.cli import main
 from laddergraphs.exprs import evaluate, parse
 from laddergraphs.ladder import NormalPolynomial, multiply_monomials
@@ -120,6 +121,23 @@ def test_sizes_that_cannot_be_built_are_one_error_line(capsys, tmp_path, argv):
     assert code == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("raised, code, line", [
+    (KeyboardInterrupt, 130, "interrupted\n"),
+    (MemoryError, 1, "error: MemoryError\n"),
+    (RecursionError("maximum recursion depth exceeded"), 1,
+     "error: RecursionError: maximum recursion depth exceeded\n"),
+])
+def test_last_resort_failures_are_one_stderr_line(capsys, monkeypatch, raised, code, line):
+    def subcommand(args):
+        print("partial")
+        raise raised
+
+    monkeypatch.setattr(cli, "_cmd_compose", subcommand)
+    status, out, err = run_cli(capsys, "compose", "9", "9", "9", "9")
+    assert status == code and out == "partial\n"
+    assert err == line
 
 
 def test_project_check(capsys):

@@ -89,6 +89,8 @@ def test_validation_rejects_bad_structures():
             dangling_in=(),
             dangling_out=(0,),
         )
+    with pytest.raises(ValueError, match="at most one edge"):  # one out-port feeding two in-ports
+        DiagGraph((Vertex((), (0,)), Vertex((1, 2), ())), ((0, 1), (0, 2)), (), ())
     with pytest.raises(ValueError):  # edges must be sorted
         DiagGraph(
             vertices=(
@@ -294,6 +296,13 @@ def test_matching_counts_against_recurrence():
     assert count_matchings(2, 2) == 7
     assert count_matchings(3, 3) == 34
     assert count_matchings(4, 4) == 209
+
+
+def test_a_negative_count_is_refused():
+    # Every pair of spot sets has at least the empty matching, so no count is 0.
+    for n_gray, n_white in ((-1, 2), (3, -2), (-1, 2.0)):
+        with pytest.raises(ValueError, match="nonnegative"):
+            count_matchings(n_gray, n_white)
 
 
 def test_matching_order_is_canonical():

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from functools import reduce
+from functools import cache, reduce
 from operator import mul
 
 import pytest
@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference
-from laddergraphs import ladder
+from laddergraphs import exprs, ladder
 from laddergraphs.graphs import (
     GraphSum,
     build_iteratively,
@@ -220,12 +220,37 @@ def test_product_prunes_cancelled_terms(monkeypatch):
     # A basis product that sends every pair to one key, the (r, s) pair
     # (0, 0): the sum cancels to 0.
     monkeypatch.setattr(ladder, "_basis_product", lambda k1, k2: [((0, 0), 1)])
+    # Fresh product tables, so the patched form reaches the product loops.
+    monkeypatch.setattr(ladder, "_products", cache(ladder._products.__wrapped__))
     collapsed = p * NormalPolynomial.one()
     assert len(collapsed) == 0 and not collapsed
     # Without the cancellation the one key is shown as IDENTITY.
     doubled = NormalPolynomial({(0, 1): c, (1, 0): c}) * NormalPolynomial.one()
     assert doubled == NormalPolynomial({IDENTITY: c * 2})
     assert list(doubled._terms) == [(0, 0)] and doubled.monomials()[0] is IDENTITY
+
+
+def test_product_tables_hold_the_closed_form_cold_and_warm(monkeypatch):
+    # Both caches start empty; every table the products fill is recorded.
+    tables = []
+
+    def products(right):
+        tables.append(ladder._ProductTable(right))
+        return tables[-1]
+
+    monkeypatch.setattr(ladder, "_basis_product", cache(ladder._basis_product.__wrapped__))
+    monkeypatch.setattr(ladder, "_products", cache(products))
+    texts = ["(a+ad)^30", "(2 a - 3 ad)^40", "(1/2 a + 3i ad)^32", "(3 ad a)^64"]
+    runs = []
+    for _ in ("cold", "warm"):
+        values = [exprs.evaluate(exprs.parse(text)) for text in texts]
+        runs.append([(v.to_json(), exprs.format_polynomial(v)) for v in values])
+    assert runs[0] == runs[1]
+    assert sorted(table.right for table in tables) == [(0, 1), (1, 0), (1, 1)]
+    for table in tables:
+        assert table
+        for m1, terms in table.items():
+            assert terms == ladder._basis_product.__wrapped__(m1, table.right)
 
 
 def assert_pair_keys(p: NormalPolynomial) -> None:

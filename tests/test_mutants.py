@@ -129,6 +129,15 @@ def check_cancellation_leaves_no_terms():
     assert x - x == NormalPolynomial.zero()
 
 
+def check_a_port_on_two_edges_is_refused():
+    try:
+        DiagGraph((Vertex((), (0,)), Vertex((1, 2), ())), ((0, 1), (0, 2)), (), ())
+    except ValueError as exc:
+        assert "at most one edge" in str(exc)
+    else:
+        assert False, "accepted an out-port feeding two in-ports"
+
+
 def check_port_labels_counted_per_vertex():
     # A label used twice in one vertex and listed once: only the per-vertex count sees it.
     try:
@@ -230,6 +239,22 @@ def _basis_product_without_factorial(m1, m2):
                  for i in range(min(k, s) + 1))
 
 
+def _basis_product_is(fault):
+    """A fault: ``_basis_product`` replaced by ``fault``, read by the product
+    loops through fresh tables, since tables filled before keep the true form."""
+    def apply(monkeypatch):
+        monkeypatch.setattr(ladder, "_basis_product", fault)
+        monkeypatch.setattr(ladder, "_products", cache(ladder._products.__wrapped__))
+    return apply
+
+
+def _one_product_table(monkeypatch):
+    """Every right factor reads the table of the first right factor asked for."""
+    tables = {}
+    monkeypatch.setattr(ladder, "_products",
+                        lambda right: tables.setdefault("shared", ladder._ProductTable(right)))
+
+
 def _accumulate_keeping_zeros(acc, key, coeff):
     total = acc.get(key)
     acc[key] = coeff if total is None else total + coeff
@@ -295,14 +320,17 @@ FAULTS = {
         lambda mp: mp.setattr(DiagGraph, "has_cycle", lambda self: False),
         check_cyclic_graphs_are_refused),
     "_basis_product range off by one": (
-        lambda mp: mp.setattr(ladder, "_basis_product", _basis_product_range_off_by_one),
+        _basis_product_is(_basis_product_range_off_by_one),
         check_closed_form_sweep),
     "_basis_product without factorial(i)": (
-        lambda mp: mp.setattr(ladder, "_basis_product", _basis_product_without_factorial),
+        _basis_product_is(_basis_product_without_factorial),
         check_expressions_against_reference),
     "_basis_product without factorial(i), seen by the oracle's words": (
-        lambda mp: mp.setattr(ladder, "_basis_product", _basis_product_without_factorial),
+        _basis_product_is(_basis_product_without_factorial),
         check_word_family),
+    "a product table ignores its right factor": (
+        _one_product_table,
+        check_expressions_against_reference),
     "rewrite drops the deletion successor, the + 1 of a ad = ad a + 1": (
         _rewrite_without("w[:i] + w[i + 2:]"),
         check_rewrite_against_reference),
@@ -349,6 +377,9 @@ FAULTS = {
     "second operand's edges dropped": (
         lambda mp: _assembler_on(mp, _same, _without_edges),
         check_compositions_against_reference),
+    "_validate lets a port belong to two edges": (
+        _recompiled(DiagGraph, "_validate", r"if out_p in used_out or in_p in used_in:", "if False:"),
+        check_a_port_on_two_edges_is_refused),
     "port_count from the dangling and edge counts, not the vertices": (
         lambda mp: mp.setattr(DiagGraph, "port_count", property(
             lambda g: len(g.dangling_in) + len(g.dangling_out) + 2 * len(g.edges))),
