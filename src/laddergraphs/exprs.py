@@ -1,26 +1,10 @@
 """Textual expression language for ladder-operator arithmetic.
 
-Grammar (PEG, leftmost alternative wins; whitespace allowed between tokens):
-
-    expr     := term (('+' | '-') term)*
-    term     := coeff factor* | factor+
-    factor   := atom ('^' nat)?
-    atom     := 'a' | 'ad' | '1' | '(' expr ')'
-    coeff    := rational (('+' | '-') rational 'i')? | rational 'i'
-    rational := int ('/' nat)?
-    int      := '-'? nat
-    nat      := digit+
-
-``a`` is the lowering letter and ``ad`` the raising letter (the Unicode
-spelling ``a†`` is accepted as an alias); ``1`` is the identity.
-Juxtaposition is operator product and binds tighter than ``+``/``-``;
-``^`` binds tighter than juxtaposition.  A bare coefficient denotes a scalar
-multiple of the identity.  One token of lookahead resolves the only
-int-vs-atom ambiguity: a lone ``1`` followed by ``^`` is the identity atom,
-so ``1^3`` is a power; in every other position a leading integer starts a
-coefficient.
-
-See GRAMMAR.md at the repository root for the frozen contract.
+GRAMMAR.md at the repository root is the frozen contract: the grammar in
+EBNF, the tokens, precedence and disambiguation, and the canonical printing
+that :func:`format_polynomial` follows.  Each parser method carries its rule
+as a comment.  ``a`` is the lowering letter, ``ad`` (or ``a†``) the raising
+letter and ``1`` the identity.
 """
 
 from __future__ import annotations

@@ -221,10 +221,7 @@ class _ProductTable(dict):
         return terms
 
 
-@cache
-def _products(right: tuple[int, int]) -> _ProductTable:
-    """The one product table of the right factor ``right``."""
-    return _ProductTable(right)
+_products = cache(_ProductTable)  # the one product table of each right factor
 
 
 def _integer_numerators(terms: dict) -> tuple[int, list[tuple]]:

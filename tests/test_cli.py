@@ -48,6 +48,19 @@ def test_commutator_rejects_non_integers():
     assert excinfo.value.code == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["commutator", "-1", "2"], "must be nonnegative: '-1'"),
+    (["project-check", "--bounds", "1,x,1,1"], "bounds must be integers: '1,x,1,1'"),
+    (["project-check", "--bounds", "1,-1,1,1"], "bounds must be nonnegative"),
+])
+def test_out_of_range_arguments_are_refused_without_a_traceback(capsys, argv, message):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    _, err = capsys.readouterr()
+    assert err.rstrip("\n").endswith(message) and "Traceback" not in err
+
+
 def test_compose_text_golden(capsys):
     code, out, _ = run_cli(capsys, "compose", "2", "2", "2", "1")
     assert code == 0

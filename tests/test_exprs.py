@@ -299,18 +299,6 @@ def from_table(table: dict) -> NormalPolynomial:
                              for key, (re, im) in table.items()})
 
 
-def json_records(table: dict) -> list[dict]:
-    """``to_json`` of ``table``'s polynomial, built from the table alone."""
-    def part(q) -> dict:
-        q = Fraction(q)
-        return {"num": str(q.numerator), "den": str(q.denominator)}
-
-    nonzero = [(key, c) for key, c in table.items() if any(c)]
-    nonzero.sort(key=lambda item: (item[0][0] + item[0][1], item[0][0]), reverse=True)
-    return [{"r": r, "s": s, "coeff": {"re": part(re), "im": part(im)}}
-            for (r, s), (re, im) in nonzero]
-
-
 @given(term_tables)
 @settings(deadline=None)
 @example({})
@@ -322,8 +310,10 @@ def json_records(table: dict) -> list[dict]:
           (1, 1): (2, -3)})
 def test_rendering_matches_the_reference_renderer(table):
     p = from_table(table)
-    assert format_polynomial(p) == reference.format_terms(table)
-    assert p.to_json() == json_records(table)
+    # The reference renderers take Fraction pairs and no zero terms.
+    terms = {key: reference.g(*c) for key, c in table.items() if any(c)}
+    assert format_polynomial(p) == reference.polynomial_text(terms)
+    assert p.to_json() == reference.polynomial_json(terms)
 
 
 def test_fuzz_parser_never_crashes():

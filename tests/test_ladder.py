@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import brute_force
 import reference
 from laddergraphs import exprs, ladder
 from laddergraphs.graphs import (
@@ -32,7 +33,7 @@ from laddergraphs.ladder import (
     word_from_str,
 )
 from laddergraphs.scalars import GaussianRational
-from test_scalars import json_values, m_add, m_mul, model_pairs, scalar_records
+from test_scalars import json_values, model_pairs, scalar_records
 
 monomials = st.builds(NormalMonomial, st.integers(0, 4), st.integers(0, 4))
 coeffs = st.builds(
@@ -84,7 +85,7 @@ def test_product_against_string_rewriter_exhaustively():
         for s in range(4):
             for k in range(4):
                 for l in range(4):
-                    expected = reference.normal_order_string("A" * r + "a" * s + "A" * k + "a" * l)
+                    expected = brute_force.normal_order_string("A" * r + "a" * s + "A" * k + "a" * l)
                     assert multiply_monomials((r, s), (k, l)) == as_poly(expected), (r, s, k, l)
 
 
@@ -115,6 +116,7 @@ def test_zero_pruning_and_equality():
     p = NormalPolynomial({(1, 1): 1}) + NormalPolynomial({(1, 1): -1})
     assert p.is_zero() and p == NormalPolynomial.zero()
     assert len(p) == 0 and not p
+    assert repr(p) == "NormalPolynomial(0)"
 
 
 @given(polys, polys, polys)
@@ -135,7 +137,7 @@ def test_multiplication_is_associative_and_distributive(p, q, r):
 
 # -- the product against a model ---------------------------------------------------
 # The model multiplies dicts of (re, im) Fraction pairs term by term and takes
-# each basis product from the brute-force string rewriter of reference.py.
+# each basis product from the exhaustive string rewriter of brute_force.py.
 
 model_polys = st.dictionaries(
     st.tuples(st.integers(0, 3), st.integers(0, 3)), model_pairs, max_size=4
@@ -146,10 +148,10 @@ def model_product(p: dict, q: dict) -> dict:
     acc: dict = {}
     for (r, s), x in p.items():
         for (k, l), y in q.items():
-            z = m_mul(x, y)
+            z = reference.gmul(x, y)
             word = "A" * r + "a" * s + "A" * k + "a" * l
-            for mono, weight in reference.normal_order_string(word).items():
-                acc[mono] = m_add(acc.get(mono, (0, 0)), (z[0] * weight, z[1] * weight))
+            for mono, weight in brute_force.normal_order_string(word).items():
+                acc[mono] = reference.gadd(acc.get(mono, reference.ZERO), reference.gscale(z, weight))
     return {mono: c for mono, c in acc.items() if any(c)}
 
 
@@ -427,7 +429,7 @@ def test_json_is_canonically_ordered():
 def test_commutator_against_string_rewriter():
     for s in range(6):
         for k in range(6):
-            expected = as_poly(reference.commutator_string(s, k))
+            expected = as_poly(brute_force.commutator_string(s, k))
             assert commutator_powers(s, k) == expected, (s, k)
 
 
@@ -498,6 +500,13 @@ def test_normal_order_frozen_values():
     assert normal_order_word(()) == NormalPolynomial.one()
 
 
+def test_normal_order_word_refuses_when_the_strategies_disagree(monkeypatch):
+    # An explicit raise, not an assert statement: it holds under python -O too.
+    monkeypatch.setattr(ladder, "normal_order_fold", lambda word: NormalPolynomial.zero())
+    with pytest.raises(AssertionError, match="^normal-ordering strategies disagree on "):
+        normal_order_word(word_from_str("a ad"))
+
+
 @given(long_words)
 @settings(deadline=None)
 def test_rewrite_and_fold_strategies_agree(word):
@@ -508,7 +517,7 @@ def test_rewrite_and_fold_strategies_agree(word):
 @settings(deadline=None)
 def test_normal_order_against_string_rewriter(word):
     text = "".join("a" if x is Letter.ANNIHILATOR else "A" for x in word)
-    assert normal_order_word(word) == as_poly(reference.normal_order_string(text))
+    assert normal_order_word(word) == as_poly(brute_force.normal_order_string(text))
 
 
 def test_rewrite_of_lowering_then_raising_powers_is_the_closed_form():

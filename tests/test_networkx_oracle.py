@@ -2,8 +2,9 @@
 
 Optional: the module is skipped when networkx is not installed.  networkx is
 never a dependency of the package, and nothing here is shared with the
-package or with ``reference.py``: each graph is read from its raw fields into
-a ``MultiDiGraph`` on vertex indices, with one arc per edge from the vertex
+package or with the other oracles, ``brute_force.py`` and
+``perfbench/reference.py``: each graph is read from its raw fields into a
+``MultiDiGraph`` on vertex indices, with one arc per edge from the vertex
 owning its out-port to the vertex owning its in-port, and with each vertex's
 gray (dangling in) and white (dangling out) spot counts as node attributes.
 """

@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from laddergraphs import oracles
 from laddergraphs.ladder import NormalPolynomial
 from laddergraphs.oracles import OracleReport, random_graph, random_word, run_oracle_checks
@@ -47,6 +49,36 @@ def test_fault_injection_is_reported(monkeypatch):
     assert "2 ad^3 a^2" in report.failures[0]
 
 
+def test_a_repeated_composition_is_reported_by_count_and_distinctness(monkeypatch):
+    # (0,1)x(1,0) enumerates its one connected composition twice.
+    true_buckets = oracles._composition_buckets
+
+    def repeating_buckets(g1, g2):
+        buckets = list(true_buckets(g1, g2))
+        if (len(g1.dangling_in), len(g2.dangling_out)) == (1, 1):
+            buckets[-1] = buckets[-1] + buckets[-1][:1]
+        return iter(buckets)
+
+    monkeypatch.setattr(oracles, "_composition_buckets", repeating_buckets)
+    report = run_oracle_checks(0, 1, 1, 0, words=0, graph_pairs=0)
+    assert report.failures == (
+        "composition count (0,1)x(1,0): enumerated 3 != formula 2",
+        "duplicate compositions for (0,1)x(1,0)",
+        "product (0,1)x(1,0) summand i=1: closed form [ad a + 1] != graph projection [ad a + 2]",
+    )
+
+
+def test_a_wrong_projection_is_reported_per_graph_pair(monkeypatch):
+    true_project_sum = oracles.project_sum
+    monkeypatch.setattr(oracles, "project_sum", lambda s: true_project_sum(s) + NormalPolynomial.one())
+    report = run_oracle_checks(0, 0, 0, 0, words=0, graph_pairs=2, seed=3)
+    assert report.failures == (
+        "graph pair 0: projected product [ad^4 a^3 + 6 ad^3 a^2 + 6 ad^2 a + 1] "
+        "!= product of projections [ad^4 a^3 + 6 ad^3 a^2 + 6 ad^2 a]",
+        "graph pair 1: projected product [ad^6 a + 1] != product of projections [ad^6 a]",
+    )
+
+
 def test_fault_injection_outside_bounds_changes_nothing(monkeypatch):
     corrupt_product(monkeypatch, 5, 5, 5, 5, 0)
     report = run_oracle_checks(1, 1, 1, 1, words=0, graph_pairs=0)
@@ -72,6 +104,11 @@ def test_random_graph_respects_caps():
         g = random_graph(rng, max_vertices=3, max_lines=2, dangling_cap=3)
         assert 1 <= len(g.vertices) <= 3
         assert len(g.dangling_in) <= 3 and len(g.dangling_out) <= 3
+
+
+def test_random_graph_gives_up_on_a_cap_no_graph_meets():
+    with pytest.raises(RuntimeError, match="^could not draw a graph within the dangling cap$"):
+        random_graph(random.Random(0), dangling_cap=-1)
 
 
 def test_random_graph_defaults_cover_their_ranges():

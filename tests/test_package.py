@@ -1,7 +1,8 @@
-"""The package's public names, and the benchmark tracer's hold on the package.
+"""The package's public names, and the benchmark's holds on the package.
 
-``perfbench/tracing.py`` wraps package functions by attribute name; a
-rename or a dropped import there would otherwise fail only inside a
+``perfbench/tracing.py`` wraps package functions by attribute name, and
+``perfbench/worker.py`` reads a cache's statistics; a rename, a dropped
+import or a dropped cache there would otherwise fail only inside a
 benchmark run.
 """
 
@@ -11,6 +12,7 @@ from pathlib import Path
 
 import laddergraphs
 import laddergraphs.cli
+import reference
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -45,8 +47,18 @@ def _namespaces(lg) -> list:
                       if isinstance(value, type) and value.__module__ == module.__name__]
 
 
-def test_benchmark_tracer_installs_and_uninstalls(monkeypatch):
-    monkeypatch.syspath_prepend(str(PERFBENCH))
+def test_reference_is_the_benchmarks_module():
+    # No module under tests/ may shadow the oracle module the benchmark checks against.
+    assert Path(reference.__file__).resolve() == PERFBENCH / "reference.py"
+
+
+def test_basis_product_cache_statistics_exist():
+    # The benchmark worker's trace mode reads them for ladder.basis_cache_hit_ratio.
+    info = laddergraphs.ladder._basis_product.cache_info()
+    assert info.hits >= 0 and info.misses >= 0
+
+
+def test_benchmark_tracer_installs_and_uninstalls():
     import tracing
 
     lg = laddergraphs

@@ -7,6 +7,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from laddergraphs.scalars import ONE, ZERO, GaussianRational
+from reference import g, gadd, gdiv, gmul, scalar_text
 
 fractions = st.fractions(min_value=-100, max_value=100, max_denominator=60)
 scalars = st.builds(GaussianRational, fractions, fractions)
@@ -54,6 +55,8 @@ def test_equality_with_plain_rationals():
     # cross-type equality must come with cross-type hash agreement
     assert hash(GaussianRational.coerce(2)) == hash(2)
     assert hash(GaussianRational(Fraction(1, 2))) == hash(Fraction(1, 2))
+    # any other type is left to decide
+    assert GaussianRational(1).__eq__("1") is NotImplemented and GaussianRational(1) != "1"
 
 
 @given(scalars, scalars, scalars)
@@ -155,7 +158,8 @@ def test_from_json_accepts_ints_and_decimal_strings():
 
 # -- differential test against a two-Fraction model -----------------------------
 # The model is the plain (re, im) pair of Fractions the stored form must agree
-# with, whichever of int and Fraction each part is stored as.
+# with, whichever of int and Fraction each part is stored as; its arithmetic
+# and text are perfbench/reference.py's.
 
 model_parts = (
     st.sampled_from([Fraction(1, 2), Fraction(-1, 2), Fraction(1, 3), Fraction(2, 3), Fraction(4, 2)])
@@ -165,30 +169,6 @@ model_parts = (
 model_pairs = st.tuples(model_parts, model_parts)
 
 
-def m_add(x, y):
-    return (x[0] + y[0], x[1] + y[1])
-
-
-def m_mul(x, y):
-    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
-
-
-def m_div(x, y):
-    norm = y[0] * y[0] + y[1] * y[1]
-    return ((x[0] * y[0] + x[1] * y[1]) / norm, (x[1] * y[0] - x[0] * y[1]) / norm)
-
-
-def m_str(re, im):
-    if not re and not im:
-        return "0"
-    if not im:
-        return str(re)
-    mag = f"{abs(im)}i"
-    if not re:
-        return ("-" if im < 0 else "") + mag
-    return f"{re}{'-' if im < 0 else '+'}{mag}"
-
-
 def assert_matches_model(z, model):
     re, im = Fraction(model[0]), Fraction(model[1])
     assert type(z.re) is Fraction and type(z.im) is Fraction
@@ -196,7 +176,7 @@ def assert_matches_model(z, model):
     assert z == GaussianRational(re, im)
     assert (z == re) == (im == 0)
     assert hash(z) == (hash(re) if not im else hash((re, im)))
-    assert str(z) == m_str(re, im)
+    assert str(z) == scalar_text((re, im))
     assert z.to_json() == {
         "re": {"num": str(re.numerator), "den": str(re.denominator)},
         "im": {"num": str(im.numerator), "den": str(im.denominator)},
@@ -214,29 +194,30 @@ def assert_matches_model(z, model):
 @example((Fraction(1, 2), Fraction(1, 2)), (1, -1), 0)
 def test_matches_two_fraction_model(p, q, n):
     x, y = GaussianRational(*p), GaussianRational(*q)
-    mx, my, mn = (Fraction(p[0]), Fraction(p[1])), (Fraction(q[0]), Fraction(q[1])), (n, 0)
-    neg_y, neg_n = (-my[0], -my[1]), (-n, 0)
+    # g(n), not (n, 0): gdiv on int pairs divides to floats.
+    mx, my, mn = g(*p), g(*q), g(n)
+    neg_y, neg_n = (-my[0], -my[1]), g(-n)
     cases = [
         (x, mx),
-        (x + y, m_add(mx, my)),
-        (x - y, m_add(mx, neg_y)),
-        (x * y, m_mul(mx, my)),
+        (x + y, gadd(mx, my)),
+        (x - y, gadd(mx, neg_y)),
+        (x * y, gmul(mx, my)),
         (-x, (-mx[0], -mx[1])),
         (x.conjugate(), (mx[0], -mx[1])),
-        (x + n, m_add(mx, mn)),
-        (n + x, m_add(mx, mn)),
-        (x - n, m_add(mx, neg_n)),
-        (n - x, m_add(mn, (-mx[0], -mx[1]))),
-        (x * n, m_mul(mx, mn)),
-        (n * x, m_mul(mx, mn)),
-        (x * Fraction(n, 2), m_mul(mx, (Fraction(n, 2), 0))),
+        (x + n, gadd(mx, mn)),
+        (n + x, gadd(mx, mn)),
+        (x - n, gadd(mx, neg_n)),
+        (n - x, gadd(mn, (-mx[0], -mx[1]))),
+        (x * n, gmul(mx, mn)),
+        (n * x, gmul(mx, mn)),
+        (x * Fraction(n, 2), gmul(mx, g(Fraction(n, 2)))),
     ]
     if any(my):
-        cases.append((x / y, m_div(mx, my)))
+        cases.append((x / y, gdiv(mx, my)))
     if n:
-        cases.append((x / n, m_div(mx, mn)))
+        cases.append((x / n, gdiv(mx, mn)))
     if any(mx):
-        cases.append((n / x, m_div(mn, mx)))
+        cases.append((n / x, gdiv(mn, mx)))
     for value, model in cases:
         assert_matches_model(value, model)
     assert (x == y) == (mx == my)

@@ -2,11 +2,12 @@
 
 Optional: the module is skipped when sympy is not installed.  sympy is never
 a dependency of the package, and nothing here is shared with the package or
-with ``reference.py``: each expression is built as a sympy product of
-``BosonOp("a")`` and ``Dagger`` factors, normally ordered by
-``normal_ordered_form`` and read back as a ``{(r, s): (re, im)}`` table of
-``ad^r a^s`` coefficients.  sympy is given a product of factors, never a
-``Pow``, with ``recursive_limit`` raised for the longer words.
+with the other oracles, ``brute_force.py`` and ``perfbench/reference.py``:
+each expression is built as a sympy product of ``BosonOp("a")`` and
+``Dagger`` factors, normally ordered by ``normal_ordered_form`` and read back
+as a ``{(r, s): (re, im)}`` table of ``ad^r a^s`` coefficients.  sympy is
+given a product of factors, never a ``Pow``, with ``recursive_limit`` raised
+for the longer words.
 """
 
 from fractions import Fraction

@@ -1,6 +1,6 @@
 """Which lines and functions of the package the benchmark's workloads run.
 
-Not a test module: pytest does not collect it, like ``reference.py``.  It
+Not a test module: pytest does not collect it, like ``brute_force.py``.  It
 runs ``--rounds`` rounds of each workload of ``perfbench/workloads.py``
 (imported, never changed) in this one process, ``cli_mix`` through
 ``cli.main`` instead of one interpreter per job.  Only each job's timed call,
@@ -34,7 +34,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "laddergraphs"
-# perfbench/ first: its reference.py, not this directory's, is the one workloads.py imports.
 sys.path[:0] = [str(ROOT / "perfbench"), str(ROOT / "src")]
 
 import laddergraphs  # noqa: E402
