@@ -26,7 +26,9 @@ compositions, which share one vertex tuple that hashes its vertices once.
 :func:`normal_order_via_graphs`, the third normal-ordering route beside the
 rewrite and the fold of :mod:`laddergraphs.ladder`, walks a word's
 compositions depth first: no graph on the way is hashed or given a
-coefficient.
+coefficient.  It builds every prefix of the word up to the last letter, and
+counts the compositions with the last letter by the size-``i`` terms of
+:func:`count_matchings` instead of building them.
 
 Port labels are assigned at vertex creation and never collide: the right
 operand of a composition is embedded by shifting its labels up by the left
@@ -42,10 +44,12 @@ Validation happens where graphs enter the package.  The public
 for cycles, under ``python -O`` too.  Graphs the package builds itself --
 :func:`make_vertex`, :func:`void_graph` and every composition -- are valid by
 construction (fresh labels, a shift that keeps the operands apart, new edges
-only from ``g2`` into ``g1``) and go through the private
-``DiagGraph._trusted``, which skips the checks.  :func:`compose` and
-:func:`enumerate_compositions` build graphs through one assembly; enumeration
-puts them in matching order by an order cached once per gray/white shape.
+only from ``g2`` into ``g1``) and skip the checks: the first two go through
+the private ``DiagGraph._trusted``, and the assembly loop of compositions
+fills the same four slots inline.  :func:`compose` and
+:func:`enumerate_compositions` build graphs through that one assembly;
+enumeration puts them in matching order by an order cached once per
+gray/white shape.
 """
 
 from __future__ import annotations
@@ -55,7 +59,7 @@ from array import array
 from collections import Counter
 from functools import cache, cached_property
 from itertools import chain, combinations, filterfalse, permutations, product, repeat
-from math import comb, factorial, lcm, perm
+from math import comb, lcm, perm
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator
 
@@ -271,17 +275,22 @@ def enumerate_matchings(grays: Iterable[int], whites: Iterable[int]) -> Iterator
 
 
 def count_matchings(n_gray: int, n_white: int) -> int:
-    """Closed-form matching count: sum of i! * C(n_gray, i) * C(n_white, i).
+    """Closed-form matching count: the sum over sizes of :func:`_matchings_of_size`.
 
-    Counts are nonnegative ``int``s: a negative count raises ``ValueError``, as in
+    That is the sum of i! * C(n_gray, i) * C(n_white, i).  The size-``i``
+    term is also the count by which :func:`normal_order_via_graphs` weighs
+    the last letter's compositions with a prefix.  Counts are nonnegative
+    ``int``s: a negative count raises ``ValueError``, as in
     :func:`make_vertex`, and any other float ``TypeError``, as in ``math.comb``.
     """
     if n_gray < 0 or n_white < 0:
         raise ValueError(f"spot counts must be nonnegative, got {(n_gray, n_white)}")
-    return sum(
-        factorial(i) * comb(n_gray, i) * comb(n_white, i)
-        for i in range(min(n_gray, n_white) + 1)
-    )
+    return sum(_matchings_of_size(n_gray, n_white, i) for i in range(min(n_gray, n_white) + 1))
+
+
+def _matchings_of_size(n_gray: int, n_white: int, size: int) -> int:
+    """The partial matchings of ``size`` pairs: C(n_gray, size) * n_white! / (n_white - size)!."""
+    return comb(n_gray, size) * perm(n_white, size)
 
 
 def _shift_vertex(v: Vertex, offset: int) -> Vertex:
@@ -311,10 +320,11 @@ def _pairing(perm: tuple[int, ...]) -> tuple[Picker, Picker]:
     return _picker(key), _picker(edges)
 
 
-@cache  # a size's list is never longer than the smallest bucket that asks for it
-def _pairings(size: int) -> tuple[tuple[Picker, Picker], ...]:
-    """Every :func:`_pairing` of ``size`` grays."""
-    return tuple(_pairing(perm) for perm in permutations(range(size)))
+@cache  # a size's lists are never longer than the smallest bucket that asks for them
+def _pairings(size: int) -> tuple[tuple[Picker, ...], tuple[Picker, ...]]:
+    """Every :func:`_pairing` of ``size`` grays: the sort-key pickers, then the edge pickers."""
+    keys, edges = zip(*map(_pairing, permutations(range(size))))
+    return keys, edges
 
 
 @cache  # 8 bytes per matching of each shape asked for
@@ -329,7 +339,7 @@ def _bucket_order(n_gray: int, n_white: int, size: int) -> memoryview:
     keys = [key_of(grays + whites)
             for grays in combinations(range(n_gray), size)
             for whites in combinations(range(n_white), size)
-            for key_of, _ in _pairings(size)]
+            for key_of in _pairings(size)[0]]
     return memoryview(array("Q", sorted(range(len(keys)), key=keys.__getitem__))).toreadonly()
 
 
@@ -339,11 +349,12 @@ def _assembler(g1: DiagGraph, g2: DiagGraph) -> Callable[..., list[DiagGraph]]:
     The per-pair work is done here, once: the shift, the shifted vertices and
     edges of ``g2`` and its shifted dangling ports.  The returned function
     takes gray combinations (sorted labels of ``g1``) and white combinations
-    (sorted labels of ``g2``) of one size and applies every given
-    :func:`_pairing` to each gray/white pair of them.  It returns the
-    compositions in that loop order.  The matchings must be valid
+    (sorted labels of ``g2``) of one size and applies every given edge
+    picker of :func:`_pairing` to each gray/white pair of them.  It returns
+    the compositions in that loop order.  The matchings must be valid
     (:func:`compose` checks a caller's); every result is then valid by
-    construction and built with ``DiagGraph._trusted``.  The shift is
+    construction and has its slots filled as ``DiagGraph._trusted`` would,
+    inline, with no call per composition.  The shift is
     ``g1``'s port count in constant time: every port of a valid graph
     dangles or ends one edge.  ``_validate`` keeps the sum over vertices,
     as on outside input the formula would accept a label used twice in one
@@ -358,9 +369,8 @@ def _assembler(g1: DiagGraph, g2: DiagGraph) -> Callable[..., list[DiagGraph]]:
     g1_grays, g1_whites = g1.dangling_in, g1.dangling_out
     g2_grays = tuple(map(shift.__add__, g2.dangling_in))
     g2_whites = tuple(map(shift.__add__, g2.dangling_out))
-    trusted = DiagGraph._trusted
 
-    def assemble(gray_combos, white_combos, pairings) -> list[DiagGraph]:
+    def assemble(gray_combos, white_combos, edge_pickers) -> list[DiagGraph]:
         # Remaining spots once per combination, grays in g1.dangling_in's own order.
         by_white = []
         for whites in white_combos:
@@ -374,10 +384,15 @@ def _assembler(g1: DiagGraph, g2: DiagGraph) -> Callable[..., list[DiagGraph]]:
             dangling_in = rest + g2_grays
             for shifted, dangling_out in by_white:
                 candidates = tuple(product(shifted, grays))
-                for _, joined_of in pairings:
+                for joined_of in edge_pickers:
                     joined = joined_of(candidates)
                     edges = g1_edges + (tuple(sorted(joined + g2_edges)) if g2_edges else joined)
-                    append(trusted(vertices, edges, dangling_in, dangling_out))
+                    graph = _new(DiagGraph)
+                    _set_vertices(graph, vertices)
+                    _set_edges(graph, edges)
+                    _set_dangling_in(graph, dangling_in)
+                    _set_dangling_out(graph, dangling_out)
+                    append(graph)
         return built
 
     return assemble
@@ -395,8 +410,8 @@ def _composition_buckets(g1: DiagGraph, g2: DiagGraph) -> Iterator[list[DiagGrap
     for size in range(min(len(grays), len(whites)) + 1):
         # The order first, so that its sort keys are gone before the bucket is built.
         order = _bucket_order(len(grays), len(whites), size) if size > 1 else None
-        built = assemble(combinations(grays, size), combinations(whites, size), _pairings(size))
-        yield built if order is None else [built[i] for i in order]
+        built = assemble(combinations(grays, size), combinations(whites, size), _pairings(size)[1])
+        yield built if order is None else list(map(built.__getitem__, order))
         del built  # not held here while the next bucket is built
 
 
@@ -424,7 +439,7 @@ def compose(g1: DiagGraph, g2: DiagGraph, matching: Matching) -> DiagGraph:
     grays = tuple(sorted(partner))
     whites = tuple(sorted(matched_white))
     perm = tuple([whites.index(partner[gray]) for gray in grays])
-    (graph,) = _assembler(g1, g2)((grays,), (whites,), (_pairing(perm),))
+    (graph,) = _assembler(g1, g2)((grays,), (whites,), (_pairing(perm)[1],))
     return graph
 
 
@@ -442,7 +457,7 @@ def _nth_matching(grays: Iterable[int], whites: Iterable[int], index: int) -> Ma
     """The matching at ``index`` in :func:`enumerate_matchings` order, or ``ValueError``."""
     grays, whites = sorted(grays), sorted(whites)
     for size in range(min(len(grays), len(whites)) + 1):
-        count = comb(len(grays), size) * perm(len(whites), size)
+        count = _matchings_of_size(len(grays), len(whites), size)
         if 0 <= index < count:
             break
         index -= count
@@ -536,7 +551,7 @@ def project(g: DiagGraph) -> NormalMonomial:
 
 
 def _shape(g: DiagGraph) -> tuple[int, int]:
-    """:func:`project` as a plain ``(whites, grays)`` pair, the walk's leaf key."""
+    """:func:`project` as a plain ``(whites, grays)`` pair, the walk's tally key."""
     return len(g.dangling_out), len(g.dangling_in)
 
 
@@ -569,27 +584,41 @@ def normal_order_via_graphs(word: Word) -> NormalPolynomial:
 
     A depth-first walk over an explicit stack of ``(graph, depth)``, with no
     recursion per letter, composes each prefix graph with the next letter's
-    vertex.  The leaves, the compositions with the last letter, are counted
-    by ``(whites, grays)`` and not kept.  Labeled compositions are distinct,
-    so each count is a coefficient.
+    vertex, up to the prefixes of every letter but the last.  Those are
+    tallied by ``(whites, grays)`` and not kept.  A prefix with ``w`` whites
+    and ``g`` grays, joined by ``i`` edges to the last letter's vertex with
+    ``r`` whites and ``s`` grays, gives :func:`_matchings_of_size` ``(g, r, i)``
+    distinct compositions of shape ``(w + r - i, g - i + s)``, the size-``i``
+    term of :func:`count_matchings`.  So the route stays independent of
+    :mod:`laddergraphs.ladder`: every prefix is a labeled graph built by
+    composition, and the last letter is counted by this module's own
+    matching arithmetic.  A one-letter word builds its one composition.
+    Labeled compositions are distinct, so each count is a coefficient.
     """
     vertex_of = {letter: make_vertex(letter.monomial.r, letter.monomial.s) for letter in set(word)}
     vertices = [vertex_of[letter] for letter in word]
     if not vertices:
         return NormalPolynomial.one()
     last = len(vertices) - 1
-    leaves = Counter()
+    tallied = max(last - 1, 0)  # the depth whose compositions are counted, not pushed
+    shapes = Counter()
     stack = [(void_graph(), 0)]
     while stack:
         graph, depth = stack.pop()
         buckets = _composition_buckets(graph, vertices[depth])
-        if depth < last:
+        if depth < tallied:
             for bucket in buckets:
                 stack += zip(bucket, repeat(depth + 1))
         else:
             for bucket in buckets:
-                leaves.update(map(_shape, bucket))
-    return NormalPolynomial._from_numerators(1, [(key, n, 0) for key, n in leaves.items()])
+                shapes.update(map(_shape, bucket))
+    if last:
+        prefixes, shapes = shapes, Counter()
+        r, s = _shape(vertices[last])
+        for (w, g), n in prefixes.items():
+            for i in range(min(g, r) + 1):
+                shapes[w + r - i, g - i + s] += n * _matchings_of_size(g, r, i)
+    return NormalPolynomial._from_numerators(1, [(key, n, 0) for key, n in shapes.items()])
 
 
 # ---------------------------------------------------------------------------

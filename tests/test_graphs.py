@@ -15,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import brute_force
+from laddergraphs import graphs as graphs_module
 from laddergraphs.graphs import (
     DiagGraph,
     GraphSum,
@@ -519,6 +520,14 @@ def test_walk_equals_the_product_of_graph_sums():
     assert normal_order_via_graphs(()) == NormalPolynomial.one() == graph_sum_route(())
 
 
+def test_walk_counts_a_last_letter_that_meets_many_grays():
+    # a^k ad: the last letter joins any one of k grays, the one step the walk
+    # counts without building; the product of graph sums builds each leaf.
+    for k in range(13):
+        word = word_from_str("a " * k + "ad")
+        assert normal_order_via_graphs(word) == graph_sum_route(word), k
+
+
 def test_walk_goes_deeper_than_the_recursion_limit():
     word = word_from_str("ad " * 599 + "a ad " + "a " * 599)
     assert len(word) > sys.getrecursionlimit()
@@ -578,6 +587,17 @@ def test_walk_is_linear_in_a_run_of_grays():
     assert work[1] <= 2.1 * work[0]
 
 
+def test_walk_is_linear_in_a_run_of_grays_it_builds():
+    # a^k ad a.  The walk counts its last letter without building it, so here
+    # the k gray combinations of ad are built, and must stay linear as above.
+    def word(k):
+        return word_from_str("a " * k + "ad a")
+
+    normal_order_via_graphs(word(2))  # fills the per-shape caches
+    work = [opcodes(normal_order_via_graphs, word(k))[0] for k in (200, 400)]
+    assert work[1] <= 2.1 * work[0]
+
+
 def test_graph_sum_product_work_does_not_grow_with_the_vertex_count():
     # 34 compositions for every k, of k + 2 vertices each.  Hashing one must
     # not hash its vertices again: the vertex tuple of a pair hashes them once.
@@ -604,6 +624,32 @@ def test_walk_keeps_no_prefix_sum():
     finally:
         tracemalloc.stop()
     assert peak < 0.5 * 2**20
+
+
+def test_walk_builds_every_prefix_and_counts_the_last_letter(monkeypatch):
+    # Exact work, not wall clock: the compositions the walk builds, summed
+    # over the buckets it asks for.  (a ad)^7 has 6 449 compositions in all;
+    # the 4 140 with its last letter are counted, not built.
+    built = 0
+    true_buckets = graphs_module._composition_buckets
+
+    def counting(g1, g2):
+        nonlocal built
+        for bucket in true_buckets(g1, g2):
+            built += len(bucket)
+            yield bucket
+
+    monkeypatch.setattr(graphs_module, "_composition_buckets", counting)
+
+    def compositions_built(spelled: str) -> int:
+        nonlocal built
+        built = 0
+        normal_order_via_graphs(word_from_str(spelled))
+        return built
+
+    assert compositions_built("a ad " * 7) == 6449 - 4140 == 2309
+    assert compositions_built("a " * 200 + "ad") == 200
+    assert compositions_built("ad") == 1  # a one-letter word builds its graph
 
 
 def test_leaf_counts_of_a_ad_powers():
@@ -959,6 +1005,12 @@ def test_graph_from_json_refuses_non_integer_labels(label):
     with pytest.raises(ValueError):
         graph_from_json(edge_record)
     assert isinstance(graph_from_json({**edge_record, "edges": [[2, 1]]}), DiagGraph)
+
+
+def test_graph_from_json_refuses_labels_that_are_not_a_list():
+    record = {"vertices": [{"in": [1], "out": [0]}], "edges": [], "dangling_in": 1, "dangling_out": [0]}
+    with pytest.raises(ValueError, match=r"^expected a list of port labels, got 1$"):
+        graph_from_json(record)
 
 
 def test_decoders_refuse_found_inputs_in_optimized_mode():

@@ -415,6 +415,13 @@ FAULTS = {
     "the walk keeps only the first bucket of a step": (
         _recompiled(graphs, "normal_order_via_graphs", r"= (_composition_buckets\(.*\))$", r"= [next(\1)]"),
         check_graph_route_against_reference),
+    "the counted last letter keeps the grays its edges join": (
+        _recompiled(graphs, "normal_order_via_graphs", r"\[w \+ r - i, g - i \+ s\]",
+                    "[w + r - i, g + s]"),
+        check_graph_route_against_reference),
+    "the counted last letter's weight drops C(g, i)": (
+        _recompiled(graphs, "_matchings_of_size", r"comb\(n_gray, size\) \* ", ""),
+        check_graph_route_against_reference),
     "project_sum drops the imaginary numerators": (
         _recompiled(graphs, "project_sum", r"\(key, re, im\) for key", "(key, re, 0) for key"),
         check_project_sum_per_term),
