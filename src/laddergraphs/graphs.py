@@ -63,8 +63,8 @@ from math import comb, lcm, perm
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator
 
-from .ladder import NormalMonomial, NormalPolynomial, Word, _monomial
-from .scalars import ONE, LinearCombination, Record, ScalarLike, accumulate
+from .ladder import Letter, NormalMonomial, NormalPolynomial, Word, _monomial
+from .scalars import ONE, GaussianRational, LinearCombination, Record, ScalarLike, accumulate
 
 Matching = tuple[tuple[int, int], ...]  # (gray in-port of g1, white out-port of g2) pairs
 Picker = Callable[[tuple], tuple]
@@ -365,7 +365,9 @@ def _assembler(g1: DiagGraph, g2: DiagGraph) -> Callable[..., list[DiagGraph]]:
     # Every out-port of g1 is below ``shift``, so g1's sorted edges stay a
     # sorted prefix; only the edges leaving g2 are merged with the joined ones.
     g1_edges = g1.edges
-    g2_edges = tuple([(out_p + shift, in_p + shift) for out_p, in_p in g2.edges])
+    g2_edges = g2.edges
+    if g2_edges:  # no letter and no one-vertex operand has any
+        g2_edges = tuple([(out_p + shift, in_p + shift) for out_p, in_p in g2_edges])
     g1_grays, g1_whites = g1.dangling_in, g1.dangling_out
     g2_grays = tuple(map(shift.__add__, g2.dangling_in))
     g2_whites = tuple(map(shift.__add__, g2.dangling_out))
@@ -521,7 +523,8 @@ class GraphSum(LinearCombination):
 
     @classmethod
     def basis(cls, graph: DiagGraph, coeff: ScalarLike = ONE) -> "GraphSum":
-        return cls([(graph, coeff)])
+        c = GaussianRational.coerce(coeff)
+        return cls._raw({graph: c} if c else {})
 
     def __mul__(self, other: "GraphSum") -> "GraphSum":
         """Bilinear extension of composition enumeration; unit is the void graph."""
@@ -530,8 +533,11 @@ class GraphSum(LinearCombination):
         acc: dict = {}
         for (g1, c1), (g2, c2) in product(self._terms.items(), other._terms.items()):
             c = c1 * c2
-            for g in enumerate_compositions(g1, g2):
-                accumulate(acc, g, c)
+            if acc:  # compositions of different pairs can coincide and cancel
+                for g in enumerate_compositions(g1, g2):
+                    accumulate(acc, g, c)
+            else:  # one pair's compositions are distinct, and nonzero terms have a nonzero product
+                acc = dict.fromkeys(enumerate_compositions(g1, g2), c)
         return self._raw(acc)
 
     def __repr__(self) -> str:
@@ -579,6 +585,10 @@ def project_sum(x: GraphSum) -> NormalPolynomial:
         den, [(key, re, im) for key, (re, im) in sums.items() if re or im])
 
 
+# Each letter's vertex, built once at import: graphs are immutable.
+_LETTER_VERTICES = {letter: make_vertex(letter.monomial.r, letter.monomial.s) for letter in Letter}
+
+
 def normal_order_via_graphs(word: Word) -> NormalPolynomial:
     """Third normal-ordering route: compose one-vertex graphs, then project.
 
@@ -595,10 +605,9 @@ def normal_order_via_graphs(word: Word) -> NormalPolynomial:
     matching arithmetic.  A one-letter word builds its one composition.
     Labeled compositions are distinct, so each count is a coefficient.
     """
-    vertex_of = {letter: make_vertex(letter.monomial.r, letter.monomial.s) for letter in set(word)}
-    vertices = [vertex_of[letter] for letter in word]
-    if not vertices:
-        return NormalPolynomial.one()
+    vertices = list(map(_LETTER_VERTICES.__getitem__, word))
+    if not vertices:  # the void graph alone, of shape (0, 0)
+        return NormalPolynomial._from_numerators(1, [((0, 0), 1, 0)])
     last = len(vertices) - 1
     tallied = max(last - 1, 0)  # the depth whose compositions are counted, not pushed
     shapes = Counter()

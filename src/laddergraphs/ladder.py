@@ -55,6 +55,9 @@ class NormalMonomial(Record):
             raise ValueError(f"monomial exponents must be nonnegative, got {(r, s)}")
         self._fill(r, s)
 
+    def __hash__(self) -> int:
+        return hash((self.r, self.s))
+
     @property
     def degree(self) -> int:
         return self.r + self.s

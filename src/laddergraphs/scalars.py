@@ -65,7 +65,8 @@ class Record:
     or hash specialises.  ``GaussianRational`` (one per product term),
     ``DiagGraph`` (one per composition) and the shifted ``Vertex`` are built
     through slot setters.  ``Vertex`` and ``DiagGraph`` hash their field tuple
-    directly, as graph-sum products hash every vertex and composition.
+    directly, as graph-sum products hash every vertex and composition, and so
+    does ``NormalMonomial``, as the CLI tallies one per composition.
     :class:`GaussianRational` overrides ``__eq__`` and ``__hash__`` to equal numbers.
     """
 

@@ -8,6 +8,7 @@ from laddergraphs import cli
 from laddergraphs.cli import main
 from laddergraphs.exprs import evaluate, parse
 from laddergraphs.ladder import NormalPolynomial, multiply_monomials
+from test_graphs import opcodes
 
 
 def run_cli(capsys, *argv):
@@ -32,6 +33,14 @@ def test_normal_order_parse_error(capsys):
     code, out, err = run_cli(capsys, "normal-order", "a ^")
     assert code == 1 and out == ""
     assert "syntax error at position 3" in err
+
+
+def test_compose_tallies_monomials_by_their_own_hash(capsys):
+    # One projected monomial per composition, 1 546 here, counted in a Counter:
+    # each must hash its (r, s) pair, not build its field tuple through Record.
+    calls = opcodes(main, ["compose", "5", "5", "5", "5"])[1]
+    assert capsys.readouterr().out.startswith("(5,5) o (5,5): 1546 compositions\n")
+    assert calls["NormalMonomial._values"] == 0
 
 
 def test_commutator(capsys):

@@ -577,8 +577,9 @@ def test_walk_is_linear_in_the_word_length():
 
 
 def test_walk_is_linear_in_a_run_of_grays():
-    # a^k ad.  The last letter's k gray combinations each leave k - 1 grays;
-    # they must be picked out in C, not by a Python scan of the prefix's grays.
+    # a^k ad.  The walk counts the last ad instead of building it, so this
+    # gates the prefix walk of a^k, one composition per letter; the test below
+    # gates the k gray combinations of a built ad.
     def word(k):
         return word_from_str("a " * k + "ad")
 
@@ -609,6 +610,25 @@ def test_graph_sum_product_work_does_not_grow_with_the_vertex_count():
 
     work(1)  # fills the per-shape caches
     assert work(100) <= 1.25 * work(50)
+
+
+def test_a_pair_product_hashes_each_composition_once():
+    # A term pair's 34 compositions are distinct, so they fill the product
+    # directly; the two other hashes are the operands' as basis sums.
+    g1, g2 = build_iteratively([(3, 3, 0), (1, 1, 1), (1, 1, 1)]), make_vertex(3, 3)
+
+    def pair_product():
+        return GraphSum.basis(g1) * GraphSum.basis(g2)
+
+    assert len(pair_product()) == 34
+    calls = opcodes(pair_product)[1]
+    assert calls["DiagGraph.__hash__"] == 36
+    assert calls["accumulate"] == 0
+
+
+def test_walk_builds_no_letter_vertex():
+    calls = opcodes(normal_order_via_graphs, word_from_str("ad a a ad a ad ad a ad ad"))[1]
+    assert calls["make_vertex"] == 0
 
 
 def test_walk_keeps_no_prefix_sum():
@@ -811,6 +831,8 @@ def test_compositions_serialize_like_graphs_built_from_their_fields():
 def test_graph_sum_cancellation_prunes():
     a = GraphSum.basis(make_vertex(1, 0), 3)
     assert len(a + (-a)) == 0 and len(a - a) == 0 and len(a.scale(0)) == 0
+    assert len(GraphSum.basis(make_vertex(1, 0), Fraction(0))) == 0
+    assert type(a._terms[make_vertex(1, 0)]) is GaussianRational
     assert repr(a - a) == "GraphSum(0)"
     assert a.coefficient(make_vertex(0, 1)) == 0
     assert NormalPolynomial.one().coefficient((2, 3)) == 0

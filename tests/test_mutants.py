@@ -17,6 +17,8 @@ import pytest
 
 import brute_force
 import reference
+import test_graphs
+import test_routes
 from laddergraphs import exprs, graphs, ladder, scalars
 from laddergraphs.graphs import (
     DiagGraph,
@@ -267,14 +269,14 @@ def _wrap(monkeypatch, owner, name, make):
     monkeypatch.setattr(owner, name, make(getattr(owner, name)))
 
 
-def _recompiled(owner, name, pattern, replacement):
+def _recompiled(owner, name, pattern, replacement, **names):
     """A fault: ``owner.name``, a module's function or a class's method, recompiled
-    in its module with the one match of ``pattern`` replaced."""
+    in its module, with ``names`` added, and the one match of ``pattern`` replaced."""
     def fault(monkeypatch):
         source = textwrap.dedent(inspect.getsource(getattr(owner, name)))
         source, found = re.subn(pattern, replacement, source, flags=re.M)
         assert found == 1, f"no single match of {pattern!r} in {name}"
-        namespace = dict(vars(inspect.getmodule(owner)))
+        namespace = {**vars(inspect.getmodule(owner)), **names}
         exec(source, namespace)
         monkeypatch.setattr(owner, name, namespace[name])
     return fault
@@ -284,6 +286,12 @@ def _rewrite_without(successor):
     """A fault: ``normal_order_rewrite`` with the line adding ``successor`` as ``pass``."""
     return _recompiled(ladder, "normal_order_rewrite",
                        rf"^( +)accumulate\(.*, {re.escape(successor)}, c\)$", r"\1pass")
+
+
+# Each composition of a later term pair replaces the product's term instead of adding to it.
+_later_pairs_overwrite = _recompiled(
+    graphs.GraphSum, "__mul__", r"for g in (enumerate_compositions\(g1, g2\)):\n\s+accumulate\(acc, g, c\)",
+    r"acc.update(dict.fromkeys(\1, c))")
 
 
 def _uninterleaved_pairings(monkeypatch):
@@ -438,6 +446,17 @@ FAULTS = {
     "a collision overwrites the coefficient instead of adding to it": (
         _recompiled(graphs.GraphSum, "__mul__", r"accumulate\(acc, g, c\)", "acc[g] = c"),
         check_graph_sum_collisions_add_up),
+    "later term pairs overwrite the product's terms instead of adding to them": (
+        _later_pairs_overwrite,
+        test_graphs.test_compositions_of_different_pairs_add_up),
+    "later term pairs overwrite the product's terms, seen by the sum over pairs": (
+        _later_pairs_overwrite,
+        test_graphs.test_graph_sum_product_is_the_sum_over_pairs),
+    # Equal results by construction: only the route-independence test sees it.
+    "the walk counts its last letter through ladder's product tables": (
+        _recompiled(graphs, "normal_order_via_graphs", r"_matchings_of_size\(g, r, i\)",
+                    "dict(ladder._products((r, s))[w, g])[w + r - i, g - i + s]", ladder=ladder),
+        test_routes.test_no_route_computes_through_another),
     "order of the transposed shape": (
         lambda mp: _wrap(mp, graphs, "_bucket_order",
                          lambda true: lambda n_gray, n_white, size: true(n_white, n_gray, size)),
